@@ -17,6 +17,8 @@ from .ctc import (
     ctc_grad,
     ctc_loss,
     ctc_loss_and_grad,
+    ctc_loss_and_grad_batch,
+    ctc_loss_batch,
     greedy_collapse,
 )
 from .errors import (
@@ -60,6 +62,7 @@ from .objectives import (
     TrainingMode,
     effective_alpha,
     joint_loss,
+    joint_loss_batch,
     masked_ce_loss,
     masked_ctc_loss,
 )

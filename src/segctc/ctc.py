@@ -5,9 +5,17 @@ rows each sum to 1 after exponentiation; the blank class sits at the last
 column (index V). Targets are integer sequences over [0, V), never blank.
 The loss is computed with the extended-label forward recursion (labels
 interleaved with blanks, 2U+1 states), entirely in the log domain.
+
+Every loss goes through one batched kernel: R lattices of different lengths
+are padded into one time-major batch and share a single alpha recursion and a
+single beta recursion over the longest lattice, so the Python loop over
+frames runs once per batch, not once per lattice. The one-lattice functions
+are batches of one.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +24,27 @@ from .numerics import NEG_INF, log_sum_exp
 
 ENUMERATION_LIMIT = 10_000_000
 _ENUMERATION_CHUNK = 1 << 16
+
+
+@dataclass(frozen=True)
+class _Packed:
+    """R lattices packed into one batch, longest first.
+
+    Row r of every (R, ...) array is region order[r]. Frame t of the
+    recursion covers rows [:rows[t]], the regions longer than t, and states
+    [:cols[t]]; the rest of each (T, R, S) array is padding.
+    """
+
+    order: np.ndarray  # (R,) input index of each row
+    frames: np.ndarray  # (R,) T_r, descending
+    states: np.ndarray  # (R,) S_r = 2 U_r + 1
+    starts: np.ndarray  # (R,) first row of each region in `lattice`
+    lattice: np.ndarray  # (sum T_r, V+1) the lattices end to end, in row order
+    ext: np.ndarray  # (R, S) extended labels, blank past S_r
+    skip_pen: np.ndarray  # (R, S) 0 where state s may be entered from s-2, else -inf
+    emit: np.ndarray  # (T, R, S) lattice[starts[r] + t, ext[r, s]], -inf past S_r
+    rows: list[int]  # (T,)
+    cols: list[int]  # (T,)
 
 
 def collapse_path(path, blank: int) -> list[int]:
@@ -31,76 +60,171 @@ def collapse_path(path, blank: int) -> list[int]:
     return out
 
 
-def _extended_labels(target: np.ndarray, blank: int) -> np.ndarray:
-    ext = np.full(2 * target.size + 1, blank, dtype=int)
-    ext[1::2] = target
-    return ext
+def _pack(lattices, targets) -> _Packed:
+    """Validate (lattice, target) pairs and pad them into one batch."""
+    lattices = [np.asarray(lattice, dtype=float) for lattice in lattices]
+    targets = [np.asarray(target, dtype=int).reshape(-1) for target in targets]
+    if len(lattices) != len(targets):
+        raise ValueError(f"{len(lattices)} lattices but {len(targets)} targets")
+    for lattice, target in zip(lattices, targets):
+        if lattice.ndim != 2 or lattice.shape[1] < 2 or lattice.shape[0] < 1:
+            raise ValueError(
+                f"lattice must be (T, V+1) with T >= 1 and V >= 1, got {lattice.shape}"
+            )
+        if target.size > lattice.shape[0]:
+            raise InfeasibleTargetError(
+                f"target of length {target.size} cannot fit in {lattice.shape[0]} frames"
+            )
+    classes = {lattice.shape[1] for lattice in lattices}
+    if len(classes) > 1:
+        raise ValueError(f"lattices of one batch must share V+1, got {sorted(classes)}")
+    n_classes = classes.pop()
+    blank = n_classes - 1
+    labels = np.concatenate(targets)
+    if labels.size and (labels.min() < 0 or labels.max() >= blank):
+        raise ValueError("target labels must lie in [0, V)")
+
+    lengths = np.array([lattice.shape[0] for lattice in lattices])
+    order = np.argsort(-lengths, kind="stable")
+    frames = lengths[order]
+    states = np.array([2 * targets[i].size + 1 for i in order])
+    starts = np.concatenate(([0], np.cumsum(frames)[:-1]))
+    n_frames, n_regions, n_states = int(frames[0]), order.size, int(states.max())
+    ext = np.full((n_regions, n_states), blank)
+    for row, i in enumerate(order):
+        ext[row, 1 : states[row] : 2] = targets[i]
+    skip_pen = np.full((n_regions, n_states), NEG_INF)
+    skip_pen[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
+    # Frames past a region's end read its last row; the recursion never uses them.
+    t = np.minimum(np.arange(n_frames)[:, None], frames[None, :] - 1)
+    lattice = np.concatenate([lattices[i] for i in order])
+    emit = lattice[(starts[None, :] + t)[:, :, None], ext[None, :, :]]
+    emit[:, np.arange(n_states)[None, :] >= states[:, None]] = NEG_INF
+    rows = (frames[None, :] > np.arange(n_frames)[:, None]).sum(axis=1)
+    return _Packed(
+        order=order,
+        frames=frames,
+        states=states,
+        starts=starts,
+        lattice=lattice,
+        ext=ext,
+        skip_pen=skip_pen,
+        emit=emit,
+        rows=rows.tolist(),
+        cols=np.maximum.accumulate(states)[rows - 1].tolist(),
+    )
 
 
-def _skip_allowed(ext: np.ndarray, blank: int) -> np.ndarray:
-    """Whether state s may be entered directly from state s-2."""
-    ok = np.zeros(ext.size, dtype=bool)
-    if ext.size > 2:
-        ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
-    return ok
-
-
-def _forward(lattice: np.ndarray, ext: np.ndarray, skip_ok: np.ndarray):
-    T = lattice.shape[0]
-    S = ext.size
-    emit = lattice[:, ext]
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
-    for t in range(1, T):
-        prev = alpha[t - 1]
-        step = np.full(S, NEG_INF)
-        step[1:] = prev[:-1]
-        skip = np.full(S, NEG_INF)
-        skip[2:] = prev[:-2]
-        skip[~skip_ok] = NEG_INF
-        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + emit[t]
-    if S > 1:
-        total = float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
-    else:
-        total = float(alpha[-1, -1])
+def _forward(p: _Packed) -> tuple[np.ndarray, np.ndarray]:
+    """Alpha, (T, R, S), and the log-probability of each region's target."""
+    n_frames, n_regions, n_states = p.emit.shape
+    # Two leading -inf columns stand in for the s-1 and s-2 predecessors of
+    # states 0 and 1, so no frame needs a shifted copy.
+    alpha = np.full((n_frames, n_regions, n_states + 2), NEG_INF)
+    first = min(n_states, 2)
+    alpha[0, :, 2 : 2 + first] = p.emit[0, :, :first]
+    skip = np.empty((n_regions, n_states))
+    for t in range(1, n_frames):
+        n, s = p.rows[t], p.cols[t]
+        prev = alpha[t - 1, :n]
+        out = alpha[t, :n, 2 : s + 2]
+        sk = skip[:n, :s]
+        np.logaddexp(prev[:, 2 : s + 2], prev[:, 1 : s + 1], out=out)
+        np.add(prev[:, :s], p.skip_pen[:n, :s], out=sk)
+        np.logaddexp(out, sk, out=out)
+        out += p.emit[t, :n, :s]
+    alpha = alpha[:, :, 2:]
+    last, regions = p.frames - 1, np.arange(n_regions)
+    end = alpha[last, regions, p.states - 1]
+    before = alpha[last, regions, np.maximum(p.states - 2, 0)]
+    total = np.where(p.states > 1, np.logaddexp(end, before), end)
     return alpha, total
 
 
-def _backward(lattice: np.ndarray, ext: np.ndarray, skip_ok: np.ndarray) -> np.ndarray:
-    """Suffix log-probabilities excluding the emission at the current frame."""
-    T = lattice.shape[0]
-    S = ext.size
-    emit = lattice[:, ext]
-    beta = np.full((T, S), NEG_INF)
-    beta[-1, -1] = 0.0
-    if S > 1:
-        beta[-1, -2] = 0.0
-    for t in range(T - 2, -1, -1):
-        nxt = emit[t + 1] + beta[t + 1]
-        step = np.full(S, NEG_INF)
-        step[:-1] = nxt[1:]
-        skip = np.full(S, NEG_INF)
-        if S > 2:
-            skip[:-2] = np.where(skip_ok[2:], nxt[2:], NEG_INF)
-        beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip)
+def _backward(p: _Packed) -> np.ndarray:
+    """Beta, (T, R, S): suffix log-probabilities excluding the emission at the
+    current frame. Each region starts at its own last frame."""
+    n_frames, n_regions, n_states = p.emit.shape
+    regions = np.arange(n_regions)
+    beta = np.full((n_frames, n_regions, n_states), NEG_INF)
+    beta[p.frames - 1, regions, p.states - 1] = 0.0
+    two = p.states > 1
+    beta[p.frames[two] - 1, regions[two], p.states[two] - 2] = 0.0
+    skip_pen = np.full_like(p.skip_pen, NEG_INF)
+    skip_pen[:, :-2] = p.skip_pen[:, 2:]  # whether s+2 may be entered from s
+    # Two trailing -inf columns stand in for the s+1 and s+2 successors of
+    # the last states; the active width only grows as t falls, so columns
+    # past it are never written.
+    nxt = np.full((n_regions, n_states + 2), NEG_INF)
+    skip = np.empty((n_regions, n_states))
+    for t in range(n_frames - 2, -1, -1):
+        # Regions whose last frame is t keep their initial row.
+        n, s = p.rows[t + 1], p.cols[t + 1]
+        out = beta[t, :n, :s]
+        sk = skip[:n, :s]
+        np.add(p.emit[t + 1, :n, :s], beta[t + 1, :n, :s], out=nxt[:n, :s])
+        np.logaddexp(nxt[:n, :s], nxt[:n, 1 : s + 1], out=out)
+        np.add(nxt[:n, 2 : s + 2], skip_pen[:n, :s], out=sk)
+        np.logaddexp(out, sk, out=out)
     return beta
 
 
-def _prepare(lattice, target):
-    lattice = np.asarray(lattice, dtype=float)
-    target = np.asarray(target, dtype=int).reshape(-1)
-    if lattice.ndim != 2 or lattice.shape[1] < 2:
-        raise ValueError(f"lattice must be (T, V+1) with V >= 1, got {lattice.shape}")
-    if target.size > lattice.shape[0]:
-        raise InfeasibleTargetError(
-            f"target of length {target.size} cannot fit in {lattice.shape[0]} frames"
-        )
-    blank = lattice.shape[1] - 1
-    if target.size and (target.min() < 0 or target.max() >= blank):
-        raise ValueError("target labels must lie in [0, V)")
-    return lattice, target, blank
+def _grad(p: _Packed, alpha, beta, total) -> np.ndarray:
+    """softmax - gamma of every region, rows as in `p.lattice`; zero for
+    unreachable targets. One scatter adds every frame's state posteriors
+    into their classes, in ascending state order."""
+    n_frames, _, n_states = alpha.shape
+    live = total != NEG_INF
+    cells = (
+        (np.arange(n_frames)[:, None, None] < p.frames[None, :, None])
+        & (np.arange(n_states)[None, None, :] < p.states[None, :, None])
+        & live[None, :, None]
+    )
+    t, r, s = np.nonzero(cells)
+    post = np.exp(alpha[t, r, s] + beta[t, r, s] - total[r])
+    n_classes = p.lattice.shape[1]
+    dest = (p.starts[r] + t) * n_classes + p.ext[r, s]
+    gamma = np.bincount(dest, weights=post, minlength=p.lattice.size)
+    grad = np.exp(p.lattice) - gamma.reshape(p.lattice.shape)
+    grad[~np.repeat(live, p.frames)] = 0.0
+    return grad
+
+
+def ctc_loss_batch(lattices, targets) -> np.ndarray:
+    """ctc_loss of every (lattice, target) pair: one forward recursion over
+    the padded batch. Lattices may differ in length, not in V+1."""
+    if len(lattices) == 0:
+        return np.zeros(0)
+    p = _pack(lattices, targets)
+    with np.errstate(invalid="ignore"):
+        _, total = _forward(p)
+    losses = np.empty(total.size)
+    losses[p.order] = -total
+    return losses
+
+
+def ctc_loss_and_grad_batch(lattices, targets) -> tuple[np.ndarray, list[np.ndarray]]:
+    """ctc_loss_and_grad of every (lattice, target) pair in one padded
+    forward-backward.
+
+    The R lattices, (T_r, V+1) each, are padded into one time-major batch,
+    longest first, so that frame t updates only the regions still running
+    (the padded layout of warp-ctc). Every region's loss and gradient are
+    bitwise those of a batch holding it alone. Returns the R losses and the
+    R gradients, in input order.
+    """
+    if len(lattices) == 0:
+        return np.zeros(0), []
+    p = _pack(lattices, targets)
+    with np.errstate(invalid="ignore"):
+        alpha, total = _forward(p)
+        grad = _grad(p, alpha, _backward(p), total)
+    losses = np.empty(total.size)
+    losses[p.order] = -total
+    grads: list = [None] * total.size
+    for row, i in enumerate(p.order):
+        grads[i] = grad[p.starts[row] : p.starts[row] + p.frames[row]]
+    return losses, grads
 
 
 def ctc_loss(lattice, target) -> float:
@@ -110,10 +234,7 @@ def ctc_loss(lattice, target) -> float:
     room for a separating blank). Raises InfeasibleTargetError when the target
     is longer than the lattice.
     """
-    lattice, target, blank = _prepare(lattice, target)
-    ext = _extended_labels(target, blank)
-    _, total = _forward(lattice, ext, _skip_allowed(ext, blank))
-    return -total
+    return float(ctc_loss_batch([lattice], [target])[0])
 
 
 def ctc_loss_and_grad(lattice, target) -> tuple[float, np.ndarray]:
@@ -123,17 +244,8 @@ def ctc_loss_and_grad(lattice, target) -> tuple[float, np.ndarray]:
     occupancy of class k at frame t. For an unreachable target (infinite
     loss) the gradient is left at zero.
     """
-    lattice, target, blank = _prepare(lattice, target)
-    ext = _extended_labels(target, blank)
-    skip_ok = _skip_allowed(ext, blank)
-    alpha, total = _forward(lattice, ext, skip_ok)
-    if total == NEG_INF:
-        return float("inf"), np.zeros_like(lattice)
-    beta = _backward(lattice, ext, skip_ok)
-    state_post = np.exp(alpha + beta - total)
-    gamma = np.zeros_like(lattice)
-    np.add.at(gamma.T, ext, state_post.T)
-    return -total, np.exp(lattice) - gamma
+    losses, grads = ctc_loss_and_grad_batch([lattice], [target])
+    return float(losses[0]), grads[0]
 
 
 def ctc_grad(lattice, target) -> np.ndarray:

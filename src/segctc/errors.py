@@ -36,10 +36,21 @@ class VersionMismatchError(ValueError):
 class NonFiniteLossError(RuntimeError):
     """Training produced a non-finite loss value.
 
-    Records the offending step so a failed run can be diagnosed from logs.
+    Records the offending step and, when known, the corpus index of the first
+    utterance whose loss is non-finite and the loss term ("ce" or "ctc")
+    that made it so, so a failed run can be diagnosed from logs.
     """
 
-    def __init__(self, step: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at step {step}")
+    def __init__(
+        self, step: int, value: float, utterance: int | None = None, term: str | None = None
+    ):
+        where = f"step {step}"
+        if utterance is not None:
+            where += f", utterance {utterance}"
+        if term is not None:
+            where += f", {term} term"
+        super().__init__(f"non-finite loss {value!r} at {where}")
         self.step = step
         self.value = value
+        self.utterance = utterance
+        self.term = term

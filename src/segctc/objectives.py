@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import ctc_loss_and_grad
+from .ctc import ctc_loss_and_grad_batch, ctc_loss_batch
 from .errors import DimensionMismatchError
 from .masking import MaskSpec
 from .targets import segment_targets
@@ -67,6 +67,51 @@ def _check_inputs(log_probs, ids, spec: MaskSpec):
     return log_probs, ids
 
 
+def _masked_ce(log_probs, ids, spec: MaskSpec, with_grad: bool):
+    rows = np.flatnonzero(spec.frame_mask())
+    grad = np.zeros_like(log_probs) if with_grad else None
+    if rows.size == 0:
+        return 0.0, grad
+    n = rows.size
+    loss = -float(log_probs[rows, ids[rows]].sum()) / n
+    if with_grad:
+        grad[rows] = np.exp(log_probs[rows]) / n
+        grad[rows, ids[rows]] -= 1.0 / n
+    return loss, grad
+
+
+def _masked_ctc(batch, with_grad: bool) -> list[tuple[float, np.ndarray | None, int]]:
+    """(token-normalized CTC loss, gradient or None, target tokens) of every
+    checked (log_probs, ids, spec) item, from one CTC call over all regions."""
+    lattices, targets, per_item = [], [], []
+    for log_probs, ids, spec in batch:
+        regions = segment_targets(ids, spec)
+        per_item.append(regions)
+        lattices += [log_probs[start:end] for start, end in spec.intervals]
+        targets += regions
+    if with_grad:
+        losses, grads = ctc_loss_and_grad_batch(lattices, targets)
+    else:
+        losses, grads = ctc_loss_batch(lattices, targets), None
+    out = []
+    first = 0
+    for (log_probs, _, spec), regions in zip(batch, per_item):
+        rows = range(first, first + len(regions))
+        first += len(regions)
+        tokens = sum(t.size for t in regions)
+        grad = np.zeros_like(log_probs) if with_grad else None
+        if tokens == 0:
+            out.append((0.0, grad, 0))
+            continue
+        total = 0.0
+        for k, (start, end) in zip(rows, spec.intervals):
+            total += float(losses[k])
+            if with_grad:
+                grad[start:end] = grads[k]
+        out.append((total / tokens, grad / tokens if with_grad else None, tokens))
+    return out
+
+
 def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     """Mean negative log-probability of each masked frame's id.
 
@@ -74,15 +119,7 @@ def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     Returns (0, zero gradient) when nothing is masked.
     """
     log_probs, ids = _check_inputs(log_probs, ids, spec)
-    grad = np.zeros_like(log_probs)
-    rows = np.flatnonzero(spec.frame_mask())
-    if rows.size == 0:
-        return 0.0, grad
-    n = rows.size
-    loss = -float(log_probs[rows, ids[rows]].sum()) / n
-    grad[rows] = np.exp(log_probs[rows]) / n
-    grad[rows, ids[rows]] -= 1.0 / n
-    return loss, grad
+    return _masked_ce(log_probs, ids, spec, with_grad=True)
 
 
 def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
@@ -93,33 +130,42 @@ def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     Returns (0, zero gradient) when there are no masked regions.
     """
     log_probs, ids = _check_inputs(log_probs, ids, spec)
-    grad = np.zeros_like(log_probs)
-    targets = segment_targets(ids, spec)
-    total_tokens = sum(t.size for t in targets)
-    if total_tokens == 0:
-        return 0.0, grad
-    total = 0.0
-    for (start, end), target in zip(spec.intervals, targets):
-        region_loss, region_grad = ctc_loss_and_grad(log_probs[start:end], target)
-        total += region_loss
-        grad[start:end] = region_grad
-    return total / total_tokens, grad / total_tokens
+    loss, grad, _ = _masked_ctc([(log_probs, ids, spec)], with_grad=True)[0]
+    return loss, grad
+
+
+def joint_loss_batch(batch, alpha: float) -> list[tuple[LossBreakdown, np.ndarray]]:
+    """joint_loss of every (log_probs, ids, spec) item, in order.
+
+    The masked regions of all items go through one batched CTC call. A term
+    whose weight is 0 is still computed and reported, but its gradient is
+    not: at alpha 0 CTC runs its forward recursion only.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0, 1]")
+    batch = [(*_check_inputs(log_probs, ids, spec), spec) for log_probs, ids, spec in batch]
+    ctc_terms = _masked_ctc(batch, with_grad=alpha > 0.0)
+    out = []
+    for (log_probs, ids, spec), (ctc, ctc_grad, tokens) in zip(batch, ctc_terms):
+        ce, ce_grad = _masked_ce(log_probs, ids, spec, with_grad=alpha < 1.0)
+        combined = alpha * ctc + (1.0 - alpha) * ce
+        if alpha == 0.0:
+            grad = ce_grad
+        elif alpha == 1.0:
+            grad = ctc_grad
+        else:
+            grad = alpha * ctc_grad + (1.0 - alpha) * ce_grad
+        breakdown = LossBreakdown(
+            ce=ce,
+            ctc=ctc,
+            combined=combined,
+            masked_frames=spec.masked_frames,
+            target_tokens=tokens,
+        )
+        out.append((breakdown, grad))
+    return out
 
 
 def joint_loss(log_probs, ids, spec: MaskSpec, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
     """combined = alpha * ctc + (1 - alpha) * ce, with the matching gradient mix."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
-    ce, ce_grad = masked_ce_loss(log_probs, ids, spec)
-    ctc, ctc_grad = masked_ctc_loss(log_probs, ids, spec)
-    combined = alpha * ctc + (1.0 - alpha) * ce
-    grad = alpha * ctc_grad + (1.0 - alpha) * ce_grad
-    tokens = sum(t.size for t in segment_targets(np.asarray(ids, dtype=int), spec))
-    breakdown = LossBreakdown(
-        ce=ce,
-        ctc=ctc,
-        combined=combined,
-        masked_frames=spec.masked_frames,
-        target_tokens=tokens,
-    )
-    return breakdown, grad
+    return joint_loss_batch([(log_probs, ids, spec)], alpha)[0]

@@ -1,8 +1,9 @@
 """Mini-batch gradient training with decoupled-weight-decay Adam.
 
 Every random draw is keyed by (seed, stream, step[, utterance]) so runs are
-bit-reproducible; batch gradients are reduced in sorted utterance order to fix
-the summation order.
+bit-reproducible. A step forwards its whole batch, computes the losses of all
+its utterances with one batched CTC call, then backpropagates and reduces the
+gradients in sorted utterance order to fix the summation order.
 
 Metrics log format: one line per step, tab-separated
     step  ce  ctc  combined  alpha
@@ -10,16 +11,18 @@ Metrics log format: one line per step, tab-separated
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ctc import ctc_loss_and_grad
+from .ctc import ctc_loss_and_grad_batch
 from .errors import ConfigError, NonFiniteLossError, ShapeMismatchError
 from .masking import apply_mask, sample_mask
 from .model import Model, model_backward, model_forward, named_params, save_checkpoint
 from .numerics import log_softmax
-from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss
+from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss_batch
 from .seeding import seeded_rng
 from .synthesis import Corpus
 from .targets import dedup
@@ -127,29 +130,56 @@ def format_metrics(metrics) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _pretrain_batch(model: Model, batch, alpha: float) -> Iterator[tuple[LossBreakdown, dict]]:
+    """Masked joint loss and parameter gradients of every (features, ids,
+    spec) item, yielded in item order: all forwards, one joint-loss call over
+    every masked region, then one backward per item, each releasing its
+    forward cache."""
+    log_probs, caches = [], deque()
+    for features, _, spec in batch:
+        masked = apply_mask(features, spec, model.encoder.mask_embedding)
+        logits, cache = model_forward(model, masked)
+        log_probs.append(log_softmax(logits, axis=1))
+        caches.append(cache)
+    losses = joint_loss_batch(
+        [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)], alpha
+    )
+    for (breakdown, dlogits), (_, _, spec) in zip(losses, batch):
+        masked_rows = np.flatnonzero(spec.frame_mask())
+        yield breakdown, model_backward(
+            model, caches.popleft(), dlogits, masked_rows=masked_rows
+        )
+
+
 def pretrain_loss_and_grads(
     model: Model, features, ids, spec, alpha: float
 ) -> tuple[LossBreakdown, dict]:
     """Masked joint loss of one utterance plus gradients for every parameter."""
-    masked = apply_mask(features, spec, model.encoder.mask_embedding)
-    logits, cache = model_forward(model, masked)
-    log_probs = log_softmax(logits, axis=1)
-    breakdown, dlogits = joint_loss(log_probs, ids, spec, alpha)
-    grads = model_backward(
-        model, cache, dlogits, masked_rows=np.flatnonzero(spec.frame_mask())
-    )
-    return breakdown, grads
+    (result,) = _pretrain_batch(model, [(features, ids, spec)], alpha)
+    return result
+
+
+def _finetune_batch(model: Model, batch) -> Iterator[tuple[float, dict]]:
+    """Token-normalized full-utterance CTC loss and parameter gradients of
+    every (features, label_ids) item, yielded in item order, with one CTC
+    call over the batch."""
+    log_probs, caches = [], deque()
+    for features, _ in batch:
+        logits, cache = model_forward(model, features)
+        log_probs.append(log_softmax(logits, axis=1))
+        caches.append(cache)
+    targets = [dedup(label_ids) for _, label_ids in batch]
+    losses, dlogits = ctc_loss_and_grad_batch(log_probs, targets)
+    for target, loss, grad in zip(targets, losses, dlogits):
+        tokens = max(1, target.size)
+        grads = model_backward(model, caches.popleft(), grad / tokens, masked_rows=None)
+        yield float(loss) / tokens, grads
 
 
 def finetune_loss_and_grads(model: Model, features, label_ids) -> tuple[float, dict]:
     """Token-normalized full-utterance CTC loss (no masking) plus gradients."""
-    logits, cache = model_forward(model, features)
-    log_probs = log_softmax(logits, axis=1)
-    target = dedup(label_ids)
-    loss, dlogits = ctc_loss_and_grad(log_probs, target)
-    tokens = max(1, target.size)
-    grads = model_backward(model, cache, dlogits / tokens, masked_rows=None)
-    return loss / tokens, grads
+    (result,) = _finetune_batch(model, [(features, label_ids)])
+    return result
 
 
 def _clip_grads(grads: dict, max_norm: float) -> None:
@@ -160,7 +190,32 @@ def _clip_grads(grads: dict, max_norm: float) -> None:
             g *= scale
 
 
-def _run_loop(corpus, cfg, model, step_fn, log_path, checkpoint_path, trainable):
+def _non_finite_term(ce: float, ctc: float, alpha: float) -> str | None:
+    """The loss term that made `alpha * ctc + (1 - alpha) * ce` non-finite: a
+    weighted term first; a term of weight 0 only when 0 * inf gave NaN."""
+    terms = (("ce", 1.0 - alpha, ce), ("ctc", alpha, ctc))
+    for name, weight, value in terms:
+        if weight and not np.isfinite(value):
+            return name
+    for name, weight, value in terms:
+        if not np.isfinite(weight * value):
+            return name
+    return None
+
+
+def _non_finite(step, value, indices, losses, alpha) -> NonFiniteLossError:
+    """The error for a non-finite step loss, naming the first utterance whose
+    loss is non-finite and its offending term."""
+    for idx, (ce, ctc, combined) in zip(indices, losses):
+        if not np.isfinite(combined):
+            term = _non_finite_term(ce, ctc, alpha)
+            return NonFiniteLossError(step, value, utterance=idx, term=term)
+    return NonFiniteLossError(step, value)
+
+
+def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable):
+    """`batch_fn(indices, step, alpha)` yields (ce, ctc, combined, grads) of
+    each drawn utterance, in index order."""
     if not corpus.utterances:
         raise ConfigError("corpus is empty")
     n = len(corpus.utterances)
@@ -169,12 +224,13 @@ def _run_loop(corpus, cfg, model, step_fn, log_path, checkpoint_path, trainable)
     for step in range(cfg.steps):
         batch_rng = seeded_rng(cfg.seed, _BATCH_STREAM, step)
         size = min(cfg.batch_size, n)
-        indices = np.sort(batch_rng.choice(n, size=size, replace=False))
+        indices = np.sort(batch_rng.choice(n, size=size, replace=False)).tolist()
         grad_total = {name: np.zeros_like(p) for name, p in trainable}
         ce_sum = ctc_sum = combined_sum = 0.0
         alpha = effective_alpha(step, cfg.mode)
-        for idx in indices:
-            ce, ctc, combined, grads = step_fn(int(idx), step, alpha)
+        losses = []
+        for ce, ctc, combined, grads in batch_fn(indices, step, alpha):
+            losses.append((ce, ctc, combined))
             ce_sum += ce
             ctc_sum += ctc
             combined_sum += combined
@@ -185,7 +241,7 @@ def _run_loop(corpus, cfg, model, step_fn, log_path, checkpoint_path, trainable)
         ce_mean, ctc_mean = ce_sum / size, ctc_sum / size
         combined_mean = combined_sum / size
         if not np.isfinite(combined_mean):
-            raise NonFiniteLossError(step, combined_mean)
+            raise _non_finite(step, combined_mean, indices, losses, alpha)
         if cfg.grad_clip > 0.0:
             _clip_grads(grad_total, cfg.grad_clip)
         hyper = AdamHyper(
@@ -215,17 +271,18 @@ def train(
 ):
     """Masked pretraining on the corpus's noisy ids under the configured mode."""
 
-    def step_fn(idx: int, step: int, alpha: float):
-        utt = corpus.utterances[idx]
-        mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
-        spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
-        breakdown, grads = pretrain_loss_and_grads(
-            model, utt.features, utt.noisy_ids, spec, alpha
-        )
-        return breakdown.ce, breakdown.ctc, breakdown.combined, grads
+    def batch_fn(indices, step: int, alpha: float):
+        batch = []
+        for idx in indices:
+            utt = corpus.utterances[idx]
+            mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
+            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
+            batch.append((utt.features, utt.noisy_ids, spec))
+        for b, grads in _pretrain_batch(model, batch, alpha):
+            yield b.ce, b.ctc, b.combined, grads
 
     return _run_loop(
-        corpus, cfg, model, step_fn, log_path, checkpoint_path, named_params(model)
+        corpus, cfg, model, batch_fn, log_path, checkpoint_path, named_params(model)
     )
 
 
@@ -244,13 +301,16 @@ def finetune(
     log format with the CTC value in both loss columns and alpha fixed at 1.
     """
 
-    def step_fn(idx: int, step: int, alpha: float):
-        utt = corpus.utterances[idx]
-        loss, grads = finetune_loss_and_grads(model, utt.features, utt.true_ids)
-        return 0.0, loss, loss, grads
+    def batch_fn(indices, step: int, alpha: float):
+        batch = [
+            (corpus.utterances[idx].features, corpus.utterances[idx].true_ids)
+            for idx in indices
+        ]
+        for loss, grads in _finetune_batch(model, batch):
+            yield 0.0, loss, loss, grads
 
     trainable = named_params(model)
     if freeze_encoder:
         trainable = [(name, p) for name, p in trainable if name.startswith("head.")]
     cfg = replace(cfg, mode=TrainingMode(alpha=1.0, ce_warmup_steps=0))
-    return _run_loop(corpus, cfg, model, step_fn, log_path, checkpoint_path, trainable)
+    return _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable)

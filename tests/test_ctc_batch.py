@@ -1,0 +1,211 @@
+"""The padded batch CTC kernel against the per-region recursion it replaced.
+
+`reference_loss_and_grad` is the earlier one-lattice-at-a-time
+forward-backward: a Python loop over frames with fresh shifted rows per
+frame. It is slow and kept here only as the reference for the batch kernel.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from segctc import (
+    brute_force_ctc,
+    ctc_loss,
+    ctc_loss_and_grad,
+    ctc_loss_and_grad_batch,
+    ctc_loss_batch,
+    log_softmax,
+)
+from segctc.numerics import NEG_INF
+
+RTOL = 1e-12
+
+
+def _extended_labels(target, blank):
+    ext = np.full(2 * target.size + 1, blank, dtype=int)
+    ext[1::2] = target
+    return ext
+
+
+def _skip_allowed(ext, blank):
+    ok = np.zeros(ext.size, dtype=bool)
+    if ext.size > 2:
+        ok[2:] = (ext[2:] != blank) & (ext[2:] != ext[:-2])
+    return ok
+
+
+def _forward(lattice, ext, skip_ok):
+    T = lattice.shape[0]
+    S = ext.size
+    emit = lattice[:, ext]
+    alpha = np.full((T, S), NEG_INF)
+    alpha[0, 0] = emit[0, 0]
+    if S > 1:
+        alpha[0, 1] = emit[0, 1]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step = np.full(S, NEG_INF)
+        step[1:] = prev[:-1]
+        skip = np.full(S, NEG_INF)
+        skip[2:] = prev[:-2]
+        skip[~skip_ok] = NEG_INF
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + emit[t]
+    if S > 1:
+        total = float(np.logaddexp(alpha[-1, -1], alpha[-1, -2]))
+    else:
+        total = float(alpha[-1, -1])
+    return alpha, total
+
+
+def _backward(lattice, ext, skip_ok):
+    T = lattice.shape[0]
+    S = ext.size
+    emit = lattice[:, ext]
+    beta = np.full((T, S), NEG_INF)
+    beta[-1, -1] = 0.0
+    if S > 1:
+        beta[-1, -2] = 0.0
+    for t in range(T - 2, -1, -1):
+        nxt = emit[t + 1] + beta[t + 1]
+        step = np.full(S, NEG_INF)
+        step[:-1] = nxt[1:]
+        skip = np.full(S, NEG_INF)
+        if S > 2:
+            skip[:-2] = np.where(skip_ok[2:], nxt[2:], NEG_INF)
+        beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip)
+    return beta
+
+
+def reference_loss_and_grad(lattice, target):
+    lattice = np.asarray(lattice, dtype=float)
+    target = np.asarray(target, dtype=int).reshape(-1)
+    blank = lattice.shape[1] - 1
+    ext = _extended_labels(target, blank)
+    skip_ok = _skip_allowed(ext, blank)
+    alpha, total = _forward(lattice, ext, skip_ok)
+    if total == NEG_INF:
+        return float("inf"), np.zeros_like(lattice)
+    beta = _backward(lattice, ext, skip_ok)
+    state_post = np.exp(alpha + beta - total)
+    gamma = np.zeros_like(lattice)
+    np.add.at(gamma.T, ext, state_post.T)
+    return -total, np.exp(lattice) - gamma
+
+
+def random_lattice(rng, frames, vocab):
+    return log_softmax(rng.normal(size=(frames, vocab + 1)), axis=1)
+
+
+def assert_matches_reference(lattices, targets):
+    losses, grads = ctc_loss_and_grad_batch(lattices, targets)
+    forward_only = ctc_loss_batch(lattices, targets)
+    assert losses.shape == forward_only.shape == (len(lattices),)
+    assert len(grads) == len(lattices)
+    for lattice, target, loss, fwd, grad in zip(lattices, targets, losses, forward_only, grads):
+        ref_loss, ref_grad = reference_loss_and_grad(lattice, target)
+        assert grad.shape == lattice.shape
+        if np.isinf(ref_loss):
+            assert loss == fwd == ref_loss
+            assert np.all(grad == 0.0)
+            continue
+        assert abs(loss - ref_loss) <= RTOL * max(1.0, abs(ref_loss))
+        assert fwd == loss
+        np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=RTOL)
+
+
+@st.composite
+def batches(draw, max_frames=8):
+    """R lattices of mixed lengths over one class count, with any targets
+    that fit: empty, as long as the lattice, with adjacent repeats."""
+    vocab = draw(st.integers(1, 4))
+    regions = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lattices, targets = [], []
+    for _ in range(regions):
+        frames = draw(st.integers(1, max_frames))
+        lattices.append(random_lattice(rng, frames, vocab))
+        targets.append(draw(st.lists(st.integers(0, vocab - 1), max_size=frames)))
+    return lattices, targets
+
+
+class TestAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(batches())
+    def test_random_batches(self, batch):
+        assert_matches_reference(*batch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(batches(max_frames=4))
+    def test_random_batches_against_oracle(self, batch):
+        lattices, targets = batch
+        losses = ctc_loss_batch(lattices, targets)
+        for lattice, target, loss in zip(lattices, targets, losses):
+            oracle = brute_force_ctc(lattice, target)
+            if np.isinf(oracle):
+                assert loss == oracle
+            else:
+                assert abs(loss - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+    def test_edge_cases_in_one_batch(self):
+        rng = np.random.default_rng(0)
+        lattices = [
+            random_lattice(rng, 1, 3),  # T = 1
+            random_lattice(rng, 1, 3),  # T = 1, empty target (S = 1)
+            random_lattice(rng, 5, 3),  # empty target on a longer lattice
+            random_lattice(rng, 4, 3),  # U = T
+            random_lattice(rng, 2, 3),  # adjacent repeat without room: unreachable
+            random_lattice(rng, 9, 3),  # the longest region, padded around
+            random_lattice(rng, 3, 3),
+        ]
+        targets = [[2], [], [], [0, 1, 2, 0], [1, 1], [0, 0, 1, 2, 1], [1, 1]]
+        assert_matches_reference(lattices, targets)
+        losses, grads = ctc_loss_and_grad_batch(lattices, targets)
+        assert losses[4] == np.inf and np.all(grads[4] == 0.0)
+        assert np.isfinite(losses[6])
+
+    def test_each_region_as_if_alone(self):
+        rng = np.random.default_rng(1)
+        lattices = [random_lattice(rng, int(n), 4) for n in rng.integers(1, 30, size=12)]
+        targets = [rng.integers(0, 4, size=int(rng.integers(0, lat.shape[0] // 2 + 1)))
+                   for lat in lattices]
+        losses, grads = ctc_loss_and_grad_batch(lattices, targets)
+        for lattice, target, loss, grad in zip(lattices, targets, losses, grads):
+            alone_loss, alone_grad = ctc_loss_and_grad(lattice, target)
+            assert loss == alone_loss
+            np.testing.assert_array_equal(grad, alone_grad)
+
+
+class TestBatchContract:
+    def test_empty_batch(self):
+        losses, grads = ctc_loss_and_grad_batch([], [])
+        assert losses.shape == (0,) and grads == []
+        assert ctc_loss_batch([], []).shape == (0,)
+
+    def test_mismatched_class_counts_rejected(self):
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError):
+            ctc_loss_and_grad_batch([random_lattice(rng, 3, 2), random_lattice(rng, 3, 3)], [[0], [0]])
+
+    def test_mismatched_lengths_rejected(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError):
+            ctc_loss_batch([random_lattice(rng, 3, 2)], [[0], [1]])
+
+    def test_empty_lattice_rejected(self):
+        with pytest.raises(ValueError):
+            ctc_loss(np.zeros((0, 3)), [])
+
+    def test_non_finite_lattice_propagates_without_warnings(self):
+        rng = np.random.default_rng(4)
+        lattice = random_lattice(rng, 4, 3)
+        lattice[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = ctc_loss_and_grad(lattice, [0, 1])
+            forward_only = ctc_loss(lattice, [0, 1])
+        assert np.isnan(loss) and np.isnan(forward_only)
+        assert np.isnan(grad).any()

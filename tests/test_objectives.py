@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import segctc.objectives
 from segctc import (
     DimensionMismatchError,
     MaskSpec,
@@ -10,6 +11,7 @@ from segctc import (
     dedup,
     effective_alpha,
     joint_loss,
+    joint_loss_batch,
     log_softmax,
     masked_ce_loss,
     masked_ctc_loss,
@@ -187,6 +189,57 @@ class TestJointLoss:
             return breakdown.combined, grad.ravel()
 
         assert check_gradient(f, logits.ravel()) < 1e-4
+
+
+class TestJointLossBatch:
+    def _batch(self, rng):
+        items = []
+        for frames in (8, 12, 9):
+            log_probs, ids, _ = random_instance(rng, frames=frames)
+            spec = merge_spans([(0, 2), (frames - 3, frames)], frames)
+            items.append((log_probs, ids, spec))
+        return items
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
+    def test_equals_one_call_per_item(self, alpha):
+        items = self._batch(np.random.default_rng(15))
+        batched = joint_loss_batch(items, alpha)
+        assert len(batched) == len(items)
+        for (breakdown, grad), item in zip(batched, items):
+            alone, alone_grad = joint_loss(*item, alpha)
+            assert breakdown == alone
+            np.testing.assert_array_equal(grad, alone_grad)
+
+    def test_empty_batch(self):
+        assert joint_loss_batch([], 0.5) == []
+
+    def test_segment_targets_computed_once_per_item(self, monkeypatch):
+        items = self._batch(np.random.default_rng(16))
+        calls = []
+        real = segctc.objectives.segment_targets
+
+        def counting(ids, spec):
+            calls.append(spec)
+            return real(ids, spec)
+
+        monkeypatch.setattr(segctc.objectives, "segment_targets", counting)
+        joint_loss_batch(items, 0.5)
+        assert len(calls) == len(items)
+
+    def test_alpha_zero_runs_ctc_forward_only(self, monkeypatch):
+        items = self._batch(np.random.default_rng(17))
+        expected = [masked_ctc_loss(*item)[0] for item in items]
+
+        def no_backward(*args):
+            raise AssertionError("CTC backward ran at alpha 0")
+
+        monkeypatch.setattr(segctc.objectives, "ctc_loss_and_grad_batch", no_backward)
+        batched = joint_loss_batch(items, 0.0)
+        assert [breakdown.ctc for breakdown, _ in batched] == expected
+        for (breakdown, grad), item in zip(batched, items):
+            ce, ce_grad = masked_ce_loss(*item)
+            assert breakdown.ce == breakdown.combined == ce
+            np.testing.assert_array_equal(grad, ce_grad)
 
 
 class TestEffectiveAlpha:

@@ -10,10 +10,12 @@ from segctc import (
     CorpusConfig,
     NonFiniteLossError,
     ShapeMismatchError,
+    StepMetrics,
     TrainConfig,
     TrainingMode,
     adam_step,
     finetune,
+    finetune_loss_and_grads,
     format_metrics,
     gen_corpus,
     init_finetune_head,
@@ -21,10 +23,13 @@ from segctc import (
     learning_rate,
     load_checkpoint,
     named_params,
+    pretrain_loss_and_grads,
+    sample_mask,
     seeded_rng,
     train,
 )
 from segctc.model import Model
+from segctc.trainer import _BATCH_STREAM, _MASK_STREAM
 
 TINY_CORPUS_CFG = CorpusConfig(
     utterances=6, frames=24, vocab=4, feature_dim=3, self_loop=0.8, sigma=0.3, seed=5
@@ -190,6 +195,18 @@ class TestTrain:
         with pytest.raises(NonFiniteLossError) as exc_info:
             train(corpus, tiny_train_config(steps=50, batch_size=6), tiny_model())
         assert exc_info.value.step == 0
+        assert exc_info.value.utterance == 0
+        assert exc_info.value.term == "ce"
+        assert "utterance 0" in str(exc_info.value)
+
+    def test_non_finite_ctc_term_reported(self):
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        corpus.utterances[2].features[:] = np.nan
+        cfg = tiny_train_config(steps=5, batch_size=6, mode=TrainingMode(alpha=1.0))
+        with pytest.raises(NonFiniteLossError) as exc_info:
+            train(corpus, cfg, tiny_model())
+        assert (exc_info.value.step, exc_info.value.utterance) == (0, 2)
+        assert exc_info.value.term == "ctc"
 
     def test_grad_clip_changes_trajectory(self):
         corpus = gen_corpus(TINY_CORPUS_CFG)
@@ -207,6 +224,90 @@ class TestTrain:
         lines = text.strip().split("\n")
         assert len(lines) == 2
         assert all(len(line.split("\t")) == 5 for line in lines)
+
+
+def per_utterance_run(corpus, cfg, model, loss_and_grads):
+    """The optimizer loop of train/finetune with one loss call per utterance:
+    `loss_and_grads(idx, step, alpha)` returns (ce, ctc, combined, grads)."""
+    trainable = named_params(model)
+    state = AdamState()
+    metrics = []
+    n = len(corpus.utterances)
+    for step in range(cfg.steps):
+        rng = seeded_rng(cfg.seed, _BATCH_STREAM, step)
+        indices = np.sort(rng.choice(n, size=min(cfg.batch_size, n), replace=False))
+        alpha = cfg.mode.alpha if step >= cfg.mode.ce_warmup_steps else 0.0
+        total = {name: np.zeros_like(p) for name, p in trainable}
+        ce_sum = ctc_sum = combined_sum = 0.0
+        for idx in indices:
+            ce, ctc, combined, grads = loss_and_grads(int(idx), step, alpha)
+            ce_sum += ce
+            ctc_sum += ctc
+            combined_sum += combined
+            for name in total:
+                total[name] += grads[name]
+        for name in total:
+            total[name] /= indices.size
+        hyper = AdamHyper(
+            lr=learning_rate(step, cfg),
+            beta1=cfg.adam_beta1,
+            beta2=cfg.adam_beta2,
+            eps=cfg.adam_eps,
+            weight_decay=cfg.weight_decay,
+        )
+        adam_step(trainable, total, state, hyper)
+        size = indices.size
+        metrics.append(
+            StepMetrics(step, ce_sum / size, ctc_sum / size, combined_sum / size, alpha)
+        )
+    return metrics
+
+
+class TestBatchedStep:
+    """train/finetune compute a whole batch per step; the result must equal a
+    loop over the single-utterance loss functions with the same seeds."""
+
+    @pytest.mark.parametrize("mode", [TrainingMode(alpha=0.5), TrainingMode(1.0, 2)])
+    def test_pretrain_equals_per_utterance_loop(self, mode):
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        cfg = tiny_train_config(steps=5, batch_size=4, mode=mode)
+        loop_model = tiny_model(seed=4)
+
+        def loss_and_grads(idx, step, alpha):
+            utt = corpus.utterances[idx]
+            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
+            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
+            b, grads = pretrain_loss_and_grads(
+                loop_model, utt.features, utt.noisy_ids, spec, alpha
+            )
+            return b.ce, b.ctc, b.combined, grads
+
+        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        model, metrics = train(corpus, cfg, tiny_model(seed=4))
+        assert metrics == expected
+        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_finetune_equals_per_utterance_loop(self):
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        cfg = tiny_train_config(steps=4, batch_size=4, mode=TrainingMode(alpha=1.0))
+
+        def fresh():
+            head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(13))
+            return Model(encoder=tiny_model(seed=5).encoder, head=head)
+
+        loop_model = fresh()
+
+        def loss_and_grads(idx, step, alpha):
+            utt = corpus.utterances[idx]
+            loss, grads = finetune_loss_and_grads(loop_model, utt.features, utt.true_ids)
+            return 0.0, loss, loss, grads
+
+        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        model, metrics = finetune(corpus, cfg, fresh())
+        assert metrics == expected
+        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestFinetune:
