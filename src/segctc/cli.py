@@ -17,12 +17,14 @@ from .analysis import compare_models, format_report, report_tsv
 from .errors import (
     ConfigError,
     DimensionMismatchError,
+    EmptyDatasetError,
     LengthMismatchError,
     NonFiniteLossError,
     ShapeMismatchError,
     VersionMismatchError,
 )
 from .model import (
+    NONLIN_CODES,
     EmbeddingHead,
     Model,
     extract_blank_params,
@@ -41,9 +43,17 @@ _MODEL_INIT_STREAM = 2
 _HEAD_INIT_STREAM = 3
 
 
+# TrainConfig fields whose config key differs; `mode` comes from alpha and ce_warmup.
+_TRAIN_KEYS = {"lr_warmup_steps": "lr_warmup", "adam_beta1": "beta1", "adam_beta2": "beta2"}
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment configuration; see SCHEMA for keys and defaults."""
+    """Flat experiment configuration; see SCHEMA for keys and defaults.
+
+    The corpus and training configs are projections of it, and building it
+    validates every value, raising ConfigError before any work starts.
+    """
 
     utterances: int = 200
     eval_utterances: int = 100
@@ -66,7 +76,6 @@ class ExperimentConfig:
     batch_size: int = 8
     lr_peak: float = 5e-3
     lr_warmup: int = 200
-    schedule: str = "linear"
     beta1: float = 0.9
     beta2: float = 0.98
     adam_eps: float = 1e-8
@@ -78,37 +87,34 @@ class ExperimentConfig:
     grad_clip: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        self.corpus_config()
+        self.train_config()
+        if self.eval_utterances < 1:
+            raise ConfigError("eval_utterances must be >= 1")
+        if self.d_model < 1 or self.d_embed < 1 or self.layers < 0:
+            raise ConfigError("d_model and d_embed must be >= 1 and layers >= 0")
+        if self.attention not in (0, 1):
+            raise ConfigError(f"attention must be 0 or 1, got {self.attention}")
+        if not 0 <= self.attn_window < 2**32:
+            raise ConfigError(f"attn_window must lie in [0, 2^32), got {self.attn_window}")
+        if self.nonlin not in NONLIN_CODES:
+            raise ConfigError(f"nonlin must be one of {sorted(NONLIN_CODES)}, got {self.nonlin!r}")
+        if self.n_pos < 0 or self.n_pos % 2:
+            raise ConfigError(f"n_pos must be even and >= 0, got {self.n_pos}")
+
     def corpus_config(self) -> CorpusConfig:
-        return CorpusConfig(
-            utterances=self.utterances,
-            frames=self.frames,
-            vocab=self.vocab,
-            feature_dim=self.feature_dim,
-            self_loop=self.self_loop,
-            sigma=self.sigma,
-            jitter_k=self.jitter_k,
-            jitter_q=self.jitter_q,
-            corrupt_r=self.corrupt_r,
-            seed=self.seed,
-        )
+        fields = dataclasses.fields(CorpusConfig)
+        return CorpusConfig(**{f.name: getattr(self, f.name) for f in fields})
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            lr_peak=self.lr_peak,
-            lr_warmup_steps=self.lr_warmup,
-            schedule=self.schedule,
-            adam_beta1=self.beta1,
-            adam_beta2=self.beta2,
-            adam_eps=self.adam_eps,
-            weight_decay=self.weight_decay,
-            mask_p=self.mask_p,
-            mask_l=self.mask_l,
-            mode=TrainingMode(alpha=self.alpha, ce_warmup_steps=self.ce_warmup),
-            grad_clip=self.grad_clip,
-            seed=self.seed,
-        )
+        values = {
+            f.name: getattr(self, _TRAIN_KEYS.get(f.name, f.name))
+            for f in dataclasses.fields(TrainConfig)
+            if f.name != "mode"
+        }
+        mode = TrainingMode(alpha=self.alpha, ce_warmup_steps=self.ce_warmup)
+        return TrainConfig(**values, mode=mode)
 
 
 def _parse_bool(raw: str) -> int:
@@ -117,17 +123,9 @@ def _parse_bool(raw: str) -> int:
     raise ValueError(f"expected 0 or 1, got {raw!r}")
 
 
-# Parser per key, derived from the dataclass field types.
-SCHEMA = {}
-for _field in dataclasses.fields(ExperimentConfig):
-    if _field.name == "attention":
-        SCHEMA[_field.name] = _parse_bool
-    elif _field.type == "int":
-        SCHEMA[_field.name] = int
-    elif _field.type == "float":
-        SCHEMA[_field.name] = float
-    else:
-        SCHEMA[_field.name] = str
+# Parser per key: the type of its default, except for the 0/1 flag `attention`.
+SCHEMA = {field.name: type(field.default) for field in dataclasses.fields(ExperimentConfig)}
+SCHEMA["attention"] = _parse_bool
 
 
 def parse_config_file(path) -> dict:
@@ -161,10 +159,7 @@ def build_config(config_path, overrides: dict) -> ExperimentConfig:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = SCHEMA[key](str(value))
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -333,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="existing output directory")
 
     p = sub.add_parser("export-blank", help="write blank-related parameters to a file")
-    _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output file path")
 
@@ -345,6 +339,7 @@ _ERROR_CATEGORIES = [
     (VersionMismatchError, "format", 4),
     (NonFiniteLossError, "numeric", 5),
     ((DimensionMismatchError, ShapeMismatchError, LengthMismatchError), "data", 6),
+    (EmptyDatasetError, "data", 6),
     ((FileNotFoundError, IsADirectoryError, PermissionError, OSError), "io", 3),
 ]
 
@@ -356,27 +351,12 @@ def _categorize(exc: Exception) -> tuple[str, int]:
     return "internal", 1
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "seed": "seed",
-        "alpha": "alpha",
-        "ce_warmup": "ce_warmup",
-        "mask_p": "mask_p",
-        "mask_l": "mask_l",
-        "steps": "steps",
-    }
-    return {
-        key: getattr(args, attr)
-        for attr, key in mapping.items()
-        if hasattr(args, attr) and getattr(args, attr) is not None
-    }
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command in ("gen-data", "pretrain", "finetune"):
-            cfg = build_config(args.config, _overrides(args))
+        if args.command != "export-blank":
+            flags = {key: value for key, value in vars(args).items() if key in SCHEMA}
+            cfg = build_config(args.config, flags)
         if args.command == "gen-data":
             cmd_gen_data(cfg, args.out)
         elif args.command == "pretrain":
@@ -398,7 +378,7 @@ def main(argv=None) -> int:
                 args.eval_jittered,
                 args.out,
             )
-            _echo_config(build_config(args.config, _overrides(args)), Path(args.out))
+            _echo_config(cfg, Path(args.out))
             sys.stdout.write(text)
         elif args.command == "export-blank":
             cmd_export_blank(args.checkpoint, args.out)

@@ -30,7 +30,7 @@ class EmptyDatasetError(ValueError):
 
 
 class VersionMismatchError(ValueError):
-    """A binary file has an unknown magic, version, or is truncated."""
+    """A binary file has an unknown magic or version, or is malformed."""
 
 
 class NonFiniteLossError(RuntimeError):

@@ -30,6 +30,10 @@ then raw float32 parameter blobs, row-major, in this order:
     per block: weight, bias, [wq, wk, wv when the flag is set],
     head: proj_weight, proj_bias, embeddings   (embedding head)
           weight, bias                         (affine head)
+Training runs in float64, so a save and load rounds every parameter to
+float32; saving a loaded checkpoint again reproduces it byte for byte. The
+format stays float32 at version 1 because files written before are read
+unchanged; a float64 checkpoint would be a new, versioned format.
 
 Blank-parameter file (version 1, little-endian):
     magic b"BLNK", version u32, d_model u32, then float64 weight (d_model)
@@ -38,11 +42,12 @@ Blank-parameter file (version 1, little-endian):
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .codec import F32, F64, U32, FileReader, write_file
 from .errors import DimensionMismatchError, VersionMismatchError
 
 CHECKPOINT_MAGIC = b"SCTC"
@@ -51,8 +56,8 @@ BLANK_MAGIC = b"BLNK"
 BLANK_VERSION = 1
 POSITION_BASE = 100.0
 
-_NONLIN_CODES = {"tanh": 0, "relu": 1}
-_NONLIN_NAMES = {code: name for name, code in _NONLIN_CODES.items()}
+NONLIN_CODES = {"tanh": 0, "relu": 1}
+_NONLIN_NAMES = {code: name for name, code in NONLIN_CODES.items()}
 
 
 @dataclass
@@ -161,7 +166,7 @@ def init_model(
     `attention` is a bool applied to every block or a per-block sequence.
     `attn_window` > 0 restricts attention to a band of that half-width.
     """
-    if nonlin not in _NONLIN_CODES:
+    if nonlin not in NONLIN_CODES:
         raise ValueError(f"unknown nonlinearity {nonlin!r}")
     if isinstance(attention, bool):
         attention = [attention] * n_blocks
@@ -316,12 +321,7 @@ def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
     """Logits (T, V+1) plus the cache needed by model_backward."""
     hidden, cache = _encoder_forward(features, model.encoder)
     cache["hidden"] = hidden
-    if isinstance(model.head, EmbeddingHead):
-        cache["proj"] = hidden @ model.head.proj_weight.T + model.head.proj_bias
-        logits = cache["proj"] @ model.head.embeddings.T
-    else:
-        logits = hidden @ model.head.weight.T + model.head.bias
-    return logits, cache
+    return compute_logits(hidden, model.head), cache
 
 
 def model_logits(model: Model, features) -> np.ndarray:
@@ -338,7 +338,8 @@ def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, 
     hidden = cache["hidden"]
     grads: dict[str, np.ndarray] = {}
     if isinstance(model.head, EmbeddingHead):
-        proj = cache["proj"]
+        # compute_logits's projection, recomputed bit for bit from the same inputs
+        proj = hidden @ model.head.proj_weight.T + model.head.proj_bias
         dproj = dlogits @ model.head.embeddings
         grads["head.embeddings"] = dlogits.T @ proj
         grads["head.proj_weight"] = dproj.T @ hidden
@@ -419,134 +420,86 @@ def init_finetune_head(
     return AffineHead(weight=weight, bias=bias)
 
 
-def _write_array(fh, arr: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_array(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise VersionMismatchError("checkpoint file is truncated")
-    return np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-
-
 def save_checkpoint(model: Model, path) -> None:
-    enc = model.encoder
-    head = model.head
-    head_kind = 0 if isinstance(head, EmbeddingHead) else 1
-    embed_dim = head.embeddings.shape[1] if isinstance(head, EmbeddingHead) else 0
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            struct.pack(
-                "<10I",
-                CHECKPOINT_VERSION,
-                head_kind,
-                enc.feature_dim,
-                enc.model_dim,
-                embed_dim,
-                head.vocab,
-                len(enc.blocks),
-                enc.n_pos,
-                _NONLIN_CODES[enc.nonlin],
-                enc.attn_window,
-            )
-        )
-        for block in enc.blocks:
-            fh.write(struct.pack("<I", 1 if block.attention is not None else 0))
-        for _, arr in named_params(model):
-            _write_array(fh, arr)
+    enc, head = model.encoder, model.head
+    embedding = isinstance(head, EmbeddingHead)
+    header = (
+        0 if embedding else 1,
+        enc.feature_dim,
+        enc.model_dim,
+        head.embeddings.shape[1] if embedding else 0,
+        head.vocab,
+        len(enc.blocks),
+        enc.n_pos,
+        NONLIN_CODES[enc.nonlin],
+        enc.attn_window,
+    )
+    flags = [block.attention is not None for block in enc.blocks]
+    arrays = [(U32, flags)] + [(F32, arr) for _, arr in named_params(model)]
+    write_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header, arrays)
 
 
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise VersionMismatchError(f"bad checkpoint magic {magic!r}")
-        raw = fh.read(40)
-        if len(raw) != 40:
-            raise VersionMismatchError("checkpoint file is truncated")
-        (
-            version,
-            head_kind,
-            d,
-            d_model,
-            d_embed,
-            vocab,
-            n_blocks,
-            n_pos,
-            nonlin_code,
-            attn_window,
-        ) = struct.unpack("<10I", raw)
-        if version != CHECKPOINT_VERSION:
-            raise VersionMismatchError(f"unsupported checkpoint version {version}")
-        if head_kind not in (0, 1) or nonlin_code not in _NONLIN_NAMES:
+        reader = FileReader(fh, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+        head_kind, d, d_model, d_embed, vocab, n_blocks, n_pos, nonlin_code, attn_window = (
+            reader.u32s(9)
+        )
+        if (
+            head_kind not in (0, 1)
+            or nonlin_code not in _NONLIN_NAMES
+            or 0 in (d, d_model, vocab)
+            or n_pos % 2
+            or (d_embed == 0) != (head_kind == 1)
+        ):
             raise VersionMismatchError("corrupt checkpoint header")
-        flags_raw = fh.read(4 * n_blocks)
-        if len(flags_raw) != 4 * n_blocks:
-            raise VersionMismatchError("checkpoint file is truncated")
-        attn_flags = struct.unpack(f"<{n_blocks}I", flags_raw) if n_blocks else ()
-        mask_embedding = _read_array(fh, (d,))
-        input_weight = _read_array(fh, (d_model, d + n_pos))
-        input_bias = _read_array(fh, (d_model,))
-        blocks = []
-        for flag in attn_flags:
-            weight = _read_array(fh, (d_model, d_model))
-            bias = _read_array(fh, (d_model,))
-            attn = None
+        attn_flags = reader.u32s(n_blocks)
+        if not set(attn_flags) <= {0, 1}:
+            raise VersionMismatchError("corrupt checkpoint attention flags")
+
+        f32 = partial(reader.array, F32)
+
+        def read_block(flag: int) -> EncoderBlock:
+            block = EncoderBlock(weight=f32(d_model, d_model), bias=f32(d_model))
             if flag:
-                attn = AttentionParams(
-                    wq=_read_array(fh, (d_model, d_model)),
-                    wk=_read_array(fh, (d_model, d_model)),
-                    wv=_read_array(fh, (d_model, d_model)),
+                block.attention = AttentionParams(
+                    wq=f32(d_model, d_model), wk=f32(d_model, d_model), wv=f32(d_model, d_model)
                 )
-            blocks.append(EncoderBlock(weight, bias, attn))
+            return block
+
+        # Keyword arguments evaluate left to right, which is the file order.
         encoder = EncoderParams(
-            mask_embedding=mask_embedding,
-            input_weight=input_weight,
-            input_bias=input_bias,
-            blocks=blocks,
+            mask_embedding=f32(d),
+            input_weight=f32(d_model, d + n_pos),
+            input_bias=f32(d_model),
+            blocks=[read_block(flag) for flag in attn_flags],
             nonlin=_NONLIN_NAMES[nonlin_code],
             n_pos=n_pos,
             attn_window=attn_window,
         )
         if head_kind == 0:
             head = EmbeddingHead(
-                proj_weight=_read_array(fh, (d_embed, d_model)),
-                proj_bias=_read_array(fh, (d_embed,)),
-                embeddings=_read_array(fh, (vocab + 1, d_embed)),
+                proj_weight=f32(d_embed, d_model),
+                proj_bias=f32(d_embed),
+                embeddings=f32(vocab + 1, d_embed),
             )
         else:
-            head = AffineHead(
-                weight=_read_array(fh, (vocab + 1, d_model)),
-                bias=_read_array(fh, (vocab + 1,)),
-            )
-    return Model(encoder=encoder, head=head)
+            head = AffineHead(weight=f32(vocab + 1, d_model), bias=f32(vocab + 1))
+        reader.end()
+        return Model(encoder=encoder, head=head)
 
 
 def write_blank_params(blank: BlankParams, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(BLANK_MAGIC)
-        fh.write(struct.pack("<II", BLANK_VERSION, blank.weight.shape[0]))
-        fh.write(np.ascontiguousarray(blank.weight, dtype="<f8").tobytes())
-        fh.write(struct.pack("<d", blank.bias))
+    arrays = [(F64, blank.weight), (F64, [blank.bias])]
+    write_file(path, BLANK_MAGIC, BLANK_VERSION, (blank.weight.shape[0],), arrays)
 
 
 def read_blank_params(path) -> BlankParams:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BLANK_MAGIC:
-            raise VersionMismatchError(f"bad blank-parameter magic {magic!r}")
-        raw = fh.read(8)
-        if len(raw) != 8:
-            raise VersionMismatchError("blank-parameter file is truncated")
-        version, d_model = struct.unpack("<II", raw)
-        if version != BLANK_VERSION:
-            raise VersionMismatchError(f"unsupported blank-parameter version {version}")
-        body = fh.read(8 * d_model + 8)
-        if len(body) != 8 * d_model + 8:
-            raise VersionMismatchError("blank-parameter file is truncated")
-        weight = np.frombuffer(body[: 8 * d_model], dtype="<f8").copy()
-        (bias,) = struct.unpack("<d", body[8 * d_model :])
-    return BlankParams(weight=weight, bias=bias)
+        reader = FileReader(fh, BLANK_MAGIC, BLANK_VERSION, "blank-parameter")
+        (d_model,) = reader.u32s(1)
+        if d_model == 0:
+            raise VersionMismatchError("corrupt blank-parameter header")
+        values = reader.array(F64, d_model + 1)  # the weight, then the bias
+        reader.end()
+    return BlankParams(weight=values[:-1], bias=float(values[-1]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import ctc_loss_and_grad_batch, ctc_loss_batch
-from .errors import DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError
 from .masking import MaskSpec
 from .targets import segment_targets
 
@@ -29,9 +29,9 @@ class TrainingMode:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.ce_warmup_steps < 0:
-            raise ValueError("ce_warmup_steps must be >= 0")
+            raise ConfigError(f"ce_warmup_steps must be >= 0, got {self.ce_warmup_steps}")
 
 
 @dataclass(frozen=True)

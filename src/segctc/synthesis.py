@@ -14,12 +14,12 @@ Corpus file format (version 1, little-endian):
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, VersionMismatchError
+from .codec import F32, I32, U32, FileReader, write_file
+from .errors import ConfigError, EmptyDatasetError, VersionMismatchError
 from .seeding import seeded_rng
 
 CORPUS_MAGIC = b"CORP"
@@ -51,7 +51,7 @@ class CorpusConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ConfigError("sigma must be >= 0")
         if self.jitter_k < 0:
             raise ConfigError("jitter_k must be >= 0")
@@ -207,48 +207,34 @@ def eval_split(config: CorpusConfig, eval_utterances: int) -> tuple[Corpus, Corp
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CORPUS_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII",
-                CORPUS_VERSION,
-                len(corpus.utterances),
-                corpus.feature_dim,
-                corpus.vocab,
-            )
-        )
-        for utt in corpus.utterances:
-            fh.write(struct.pack("<I", utt.features.shape[0]))
-            fh.write(np.ascontiguousarray(utt.features, dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(utt.true_ids, dtype="<i4").tobytes())
-            fh.write(np.ascontiguousarray(utt.noisy_ids, dtype="<i4").tobytes())
-
-
-def _read_exact(fh, count: int) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise VersionMismatchError("corpus file is truncated")
-    return raw
+    arrays = []
+    for utt in corpus.utterances:
+        arrays += [
+            (U32, [utt.features.shape[0]]),
+            (F32, utt.features),
+            (I32, utt.true_ids),
+            (I32, utt.noisy_ids),
+        ]
+    header = (len(corpus.utterances), corpus.feature_dim, corpus.vocab)
+    write_file(path, CORPUS_MAGIC, CORPUS_VERSION, header, arrays)
 
 
 def load_corpus(path) -> Corpus:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CORPUS_MAGIC:
-            raise VersionMismatchError(f"bad corpus magic {magic!r}")
-        version, count, dim, vocab = struct.unpack("<IIII", _read_exact(fh, 16))
-        if version != CORPUS_VERSION:
-            raise VersionMismatchError(f"unsupported corpus version {version}")
+        reader = FileReader(fh, CORPUS_MAGIC, CORPUS_VERSION, "corpus")
+        count, dim, vocab = reader.u32s(3)
+        if count == 0:
+            raise EmptyDatasetError(f"corpus {path} has no utterances")
+        if dim == 0 or vocab == 0:
+            raise VersionMismatchError("corrupt corpus header")
         utterances = []
         for _ in range(count):
-            (frames,) = struct.unpack("<I", _read_exact(fh, 4))
-            features = (
-                np.frombuffer(_read_exact(fh, 4 * frames * dim), dtype="<f4")
-                .astype(np.float64)
-                .reshape(frames, dim)
-            )
-            true_ids = np.frombuffer(_read_exact(fh, 4 * frames), dtype="<i4").astype(int)
-            noisy_ids = np.frombuffer(_read_exact(fh, 4 * frames), dtype="<i4").astype(int)
+            (frames,) = reader.u32s(1)
+            if frames == 0:
+                raise VersionMismatchError("corrupt corpus file: utterance of zero frames")
+            features = reader.array(F32, frames, dim)
+            true_ids = reader.array(I32, frames)
+            noisy_ids = reader.array(I32, frames)
             utterances.append(Utterance(features, true_ids, noisy_ids))
+        reader.end()
     return Corpus(vocab=vocab, utterances=utterances)

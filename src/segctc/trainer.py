@@ -81,7 +81,6 @@ class TrainConfig:
     batch_size: int = 8
     lr_peak: float = 5e-3
     lr_warmup_steps: int = 200
-    schedule: str = "linear"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.98
     adam_eps: float = 1e-8
@@ -95,12 +94,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
-        if self.lr_peak <= 0.0:
+        if not self.lr_peak > 0.0:
             raise ConfigError("lr_peak must be > 0")
         if self.lr_warmup_steps < 0:
             raise ConfigError("lr_warmup_steps must be >= 0")
-        if self.schedule != "linear":
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0.0:
+            raise ConfigError("adam_eps must be > 0")
+        if not (self.weight_decay >= 0.0 and self.grad_clip >= 0.0):
+            raise ConfigError("weight_decay and grad_clip must be >= 0")
+        if not 0.0 <= self.mask_p <= 1.0 or self.mask_l < 1:
+            raise ConfigError("mask_p must lie in [0, 1] and mask_l must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
 

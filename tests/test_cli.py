@@ -69,6 +69,65 @@ class TestConfigParsing:
         assert cfg.steps == 9
         assert cfg.seed == 1
 
+    def test_projections_carry_renamed_keys(self):
+        cfg = ExperimentConfig(lr_warmup=7, beta1=0.5, beta2=0.6, alpha=0.25, ce_warmup=3, seed=4)
+        train = cfg.train_config()
+        assert (train.lr_warmup_steps, train.adam_beta1, train.adam_beta2) == (7, 0.5, 0.6)
+        assert (train.mode.alpha, train.mode.ce_warmup_steps, train.seed) == (0.25, 3, 4)
+        assert cfg.corpus_config().seed == 4
+
+
+INVALID_SETTINGS = [
+    "nonlin=sigmoid",
+    "n_pos=3",
+    "mask_l=0",
+    "mask_p=2",
+    "d_model=0",
+    "layers=-1",
+    "alpha=1.5",
+    "ce_warmup=-1",
+    "attn_window=-1",
+    "d_embed=0",
+    "grad_clip=-1",
+    "beta1=1.5",
+]
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("valid")
+    cfg = root / "fast.cfg"
+    cfg.write_text("\n".join(FAST) + "\n")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(root)]) == 0
+    corpus = str(root / "train.corpus")
+    assert main(["pretrain", "--config", str(cfg), "--corpus", corpus, "--out", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("setting", INVALID_SETTINGS)
+def test_invalid_value_is_config_error_before_any_work(tmp_path, valid_inputs, capsys, setting):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(FAST + [setting]) + "\n")
+    checkpoint = valid_inputs / "checkpoint.bin"
+    inputs = {
+        "gen-data": [],
+        "pretrain": ["--corpus", valid_inputs / "train.corpus"],
+        "finetune": ["--checkpoint", checkpoint, "--corpus", valid_inputs / "train.corpus"],
+        "analyze": [
+            "--ce-checkpoint", checkpoint,
+            "--ctc-checkpoint", checkpoint,
+            "--eval-clean", valid_inputs / "eval_clean.corpus",
+            "--eval-jittered", valid_inputs / "eval_jittered.corpus",
+        ],
+    }
+    for command, args in inputs.items():
+        out = tmp_path / command
+        out.mkdir()
+        code = main([command, "--config", str(cfg), *map(str, args), "--out", str(out)])
+        assert code == 2, command
+        assert capsys.readouterr().err.startswith("error[config]"), command
+        assert list(out.iterdir()) == [], command
+
 
 class TestGenData:
     def test_writes_three_corpora_and_echoes_config(self, tmp_path, fast_config):
@@ -248,6 +307,12 @@ class TestExportBlank:
         second = tmp_path / "blank2.bin"
         main(["export-blank", "--checkpoint", str(pretrained), "--out", str(second)])
         assert blank_path.read_bytes() == second.read_bytes()
+
+    def test_takes_no_config_flags(self, tmp_path, pretrained):
+        for flag in (["--config", str(tmp_path / "c.cfg")], ["--seed", "1"]):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["export-blank", "--checkpoint", str(pretrained), "--out", "b.bin", *flag])
+            assert exc_info.value.code == 2
 
     def test_corrupt_checkpoint_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

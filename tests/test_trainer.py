@@ -120,10 +120,6 @@ class TestAdamStep:
 
 
 class TestTrainConfig:
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_train_config(schedule="cosine")
-
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
             tiny_train_config(steps=-1)
@@ -131,6 +127,23 @@ class TestTrainConfig:
             tiny_train_config(batch_size=0)
         with pytest.raises(ConfigError):
             tiny_train_config(lr_peak=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("adam_beta1", 1.5),
+            ("adam_beta2", 1.0),
+            ("adam_eps", 0.0),
+            ("weight_decay", -0.1),
+            ("grad_clip", -1.0),
+            ("mask_p", 2.0),
+            ("mask_l", 0),
+            ("lr_peak", float("nan")),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            tiny_train_config(**{field: value})
 
 
 class TestLearningRate:
