@@ -34,11 +34,14 @@ class VersionMismatchError(ValueError):
 
 
 class NonFiniteLossError(RuntimeError):
-    """Training produced a non-finite loss value.
+    """Training produced a non-finite loss or gradient value.
 
     Records the offending step and, when known, the corpus index of the first
     utterance whose loss is non-finite and the loss term ("ce" or "ctc")
-    that made it so, so a failed run can be diagnosed from logs.
+    that made it so, so a failed run can be diagnosed from logs. The term is
+    "grad" when the step's loss is finite but its summed gradient is not;
+    `value` is then that sum and the utterance is the first whose gradient
+    is non-finite.
     """
 
     def __init__(
@@ -49,7 +52,8 @@ class NonFiniteLossError(RuntimeError):
             where += f", utterance {utterance}"
         if term is not None:
             where += f", {term} term"
-        super().__init__(f"non-finite loss {value!r} at {where}")
+        quantity = "gradient" if term == "grad" else "loss"
+        super().__init__(f"non-finite {quantity} {value!r} at {where}")
         self.step = step
         self.value = value
         self.utterance = utterance

@@ -6,6 +6,13 @@ signal every masked frame would produce the same output). An input projection
 maps to the model width, then each block applies affine -> nonlinearity ->
 optional single-head self-attention with a residual connection.
 
+With `attn_window = w > 0` frame i attends to frames |i - j| <= w only, and
+the scores live on a (T, 2w+1) band: O(T·(2w+1)) per block instead of T x T.
+Keys, values and queries are written into zero-padded buffers and read
+through strided windows that copy nothing; the band's transposed products in
+the backward pass are gathers along anti-diagonals, not scatters.
+`attn_window = 0` means dense attention over all T x T pairs.
+
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
 Under this bilinear form the blank class collapses exactly to one affine row
@@ -43,7 +50,7 @@ Blank-parameter file (version 1, little-endian):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -222,6 +229,133 @@ def _nonlin_deriv(u: np.ndarray, v: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
+@lru_cache(maxsize=256)
+def _position_table(total_frames: int, n_pos: int) -> np.ndarray:
+    """position_channels, computed once per shape and shared read-only."""
+    table = position_channels(total_frames, n_pos)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=256)
+def _band_pad(frames: int, half: int) -> np.ndarray:
+    """Additive (frames, 2*half+1) score pad: slot o of row t pairs frame t
+    with frame t + o - half, and is -inf where that frame does not exist."""
+    keys = np.arange(frames)[:, None] + np.arange(-half, half + 1)[None, :]
+    pad = np.where((keys >= 0) & (keys < frames), 0.0, -np.inf)
+    pad.flags.writeable = False
+    return pad
+
+
+def _strided_view(padded: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
+    """Read-only view of the C-contiguous `padded` buffer; no data is copied.
+    Unlike `as_strided`, the constructor checks the view against the buffer's
+    bounds, and costs about a quarter as much per call."""
+    view = np.ndarray(shape, padded.dtype, padded, offset, strides)
+    view.flags.writeable = False
+    return view
+
+
+def _windows(padded: np.ndarray, frames: int, width: int) -> np.ndarray:
+    """Read-only view (frames, width, d) of a row-padded (frames + width - 1,
+    d) array, with [t, o] = padded[t + o]."""
+    s0, s1 = padded.strides
+    return _strided_view(padded, (frames, width, padded.shape[1]), (s0, s0, s1))
+
+
+def _antidiagonals(padded: np.ndarray, frames: int) -> np.ndarray:
+    """Read-only view (frames, width) of a row-padded (frames + width - 1,
+    width) band, with [j, o] = padded[j + o, width - 1 - o]: the band slots of
+    every query that point at key frame j. Paired with `_windows` of the
+    row-padded query-side array, this turns the band's transpose-product into
+    a gather."""
+    width = padded.shape[1]
+    s0, s1 = padded.strides
+    return _strided_view(padded, (frames, width), (s0, s0 - s1), (width - 1) * s1)
+
+
+def _padded_matmul(v: np.ndarray, weight: np.ndarray, half: int) -> np.ndarray:
+    """v @ weight.T written into rows [half, half + T) of a zero buffer with
+    `half` zero rows on each side."""
+    frames = v.shape[0]
+    out = np.zeros((frames + 2 * half, weight.shape[0]))
+    np.matmul(v, weight.T, out=out[half : half + frames])
+    return out
+
+
+def _banded_attention(v, attn: AttentionParams, half: int, scale: float):
+    """Attention restricted to |i - j| <= half, computed on the (T, 2*half+1)
+    band only. Returns the attention output and the backward's record, whose
+    q, k, w and att are padded by `half` zero rows on each side."""
+    frames = v.shape[0]
+    width = 2 * half + 1
+    rows = slice(half, half + frames)
+    q = _padded_matmul(v, attn.wq, half)
+    k = _padded_matmul(v, attn.wk, half)
+    w = _padded_matmul(v, attn.wv, half)
+    att_padded = np.zeros((frames + 2 * half, width))
+    att = att_padded[rows]
+    np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
+    att *= scale
+    att += _band_pad(frames, half)
+    att -= att.max(axis=1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=1, keepdims=True)
+    out = np.einsum("to,tod->td", att, _windows(w, frames, width))
+    return out, {"q": q, "k": k, "w": w, "att": att_padded}
+
+
+def _banded_attention_backward(do, rec, half: int, scale: float):
+    """(dq, dk, dw) of `_banded_attention` for the output gradient `do`."""
+    frames = do.shape[0]
+    width = 2 * half + 1
+    rows = slice(half, half + frames)
+    q, k, w, att_padded = rec["q"], rec["k"], rec["w"], rec["att"]
+    att = att_padded[rows]
+    do_padded = np.zeros((frames + 2 * half, do.shape[1]))
+    do_padded[rows] = do
+    datt = np.einsum("td,tod->to", do, _windows(w, frames, width))
+    dscores_padded = np.zeros_like(att_padded)
+    dscores = dscores_padded[rows]
+    np.multiply(att, datt - (datt * att).sum(axis=1, keepdims=True), out=dscores)
+    dq = np.einsum("to,tod->td", dscores, _windows(k, frames, width)) * scale
+    dk = np.einsum(
+        "to,tod->td", _antidiagonals(dscores_padded, frames), _windows(q, frames, width)
+    ) * scale
+    dw = np.einsum(
+        "to,tod->td", _antidiagonals(att_padded, frames), _windows(do_padded, frames, width)
+    )
+    return dq, dk, dw
+
+
+def _dense_attention(v, attn: AttentionParams, scale: float):
+    """Full attention over all T x T frame pairs."""
+    q = v @ attn.wq.T
+    k = v @ attn.wk.T
+    w = v @ attn.wv.T
+    att = (q @ k.T) * scale
+    att -= att.max(axis=1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=1, keepdims=True)
+    return att @ w, {"q": q, "k": k, "w": w, "att": att}
+
+
+def _dense_attention_backward(do, rec, scale: float):
+    att, q, k, w = rec["att"], rec["q"], rec["k"], rec["w"]
+    dw = att.T @ do
+    datt = do @ w.T
+    dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True))
+    dq = (dscores @ k) * scale
+    dk = (dscores.T @ q) * scale
+    return dq, dk, dw
+
+
+def _band_half_width(params: EncoderParams, frames: int) -> int:
+    """The band half-width a window of `attn_window` frames has over `frames`
+    frames: a wider band would only add slots that point past either end."""
+    return min(params.attn_window, frames - 1)
+
+
 def _encoder_forward(features, params: EncoderParams):
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.feature_dim:
@@ -229,31 +363,23 @@ def _encoder_forward(features, params: EncoderParams):
             f"features of shape {x.shape} do not match feature dimension {params.feature_dim}"
         )
     frames = x.shape[0]
-    xin = np.concatenate([x, position_channels(frames, params.n_pos)], axis=1)
+    xin = np.concatenate([x, _position_table(frames, params.n_pos)], axis=1)
     h = xin @ params.input_weight.T + params.input_bias
     cache = {"xin": xin, "blocks": []}
     scale = 1.0 / np.sqrt(params.model_dim)
-    band = None
-    if params.attn_window > 0:
-        offsets = np.arange(frames)
-        band = np.abs(offsets[:, None] - offsets[None, :]) > params.attn_window
+    half = _band_half_width(params, frames)
     for block in params.blocks:
         h_in = h
         u = h_in @ block.weight.T + block.bias
         v = _nonlin(u, params.nonlin)
         record = {"h_in": h_in, "u": u, "v": v}
         if block.attention is not None:
-            q = v @ block.attention.wq.T
-            k = v @ block.attention.wk.T
-            w = v @ block.attention.wv.T
-            scores = (q @ k.T) * scale
-            if band is not None:
-                scores[band] = -np.inf
-            scores -= scores.max(axis=1, keepdims=True)
-            att = np.exp(scores)
-            att /= att.sum(axis=1, keepdims=True)
-            h = v + att @ w
-            record.update({"q": q, "k": k, "w": w, "att": att})
+            if params.attn_window > 0:
+                out, attn_record = _banded_attention(v, block.attention, half, scale)
+            else:
+                out, attn_record = _dense_attention(v, block.attention, scale)
+            h = v + out
+            record.update(attn_record)
         else:
             h = v
         cache["blocks"].append(record)
@@ -268,17 +394,16 @@ def encoder_forward(features, params: EncoderParams) -> np.ndarray:
 def _encoder_backward(dh, params: EncoderParams, cache) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     scale = 1.0 / np.sqrt(params.model_dim)
+    half = _band_half_width(params, dh.shape[0])
     for i in range(len(params.blocks) - 1, -1, -1):
         block = params.blocks[i]
         rec = cache["blocks"][i]
         if block.attention is not None:
-            att, q, k, w, v = rec["att"], rec["q"], rec["k"], rec["w"], rec["v"]
-            do = dh
-            dw = att.T @ do
-            datt = do @ w.T
-            dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True))
-            dq = (dscores @ k) * scale
-            dk = (dscores.T @ q) * scale
+            v = rec["v"]
+            if params.attn_window > 0:
+                dq, dk, dw = _banded_attention_backward(dh, rec, half, scale)
+            else:
+                dq, dk, dw = _dense_attention_backward(dh, rec, scale)
             grads[f"encoder.blocks.{i}.attention.wq"] = dq.T @ v
             grads[f"encoder.blocks.{i}.attention.wk"] = dk.T @ v
             grads[f"encoder.blocks.{i}.attention.wv"] = dw.T @ v

@@ -233,8 +233,12 @@ def load_corpus(path) -> Corpus:
             if frames == 0:
                 raise VersionMismatchError("corrupt corpus file: utterance of zero frames")
             features = reader.array(F32, frames, dim)
-            true_ids = reader.array(I32, frames)
-            noisy_ids = reader.array(I32, frames)
+            if not np.isfinite(features).all():
+                raise VersionMismatchError("corrupt corpus file: non-finite feature")
+            ids = reader.array(I32, 2, frames)  # the true ids, then the noisy ids
+            if ids.min() < 0 or ids.max() >= vocab:
+                raise VersionMismatchError(f"corrupt corpus file: id outside [0, {vocab})")
+            true_ids, noisy_ids = ids
             utterances.append(Utterance(features, true_ids, noisy_ids))
         reader.end()
     return Corpus(vocab=vocab, utterances=utterances)

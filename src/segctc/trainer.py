@@ -219,6 +219,17 @@ def _non_finite(step, value, indices, losses, alpha) -> NonFiniteLossError:
     return NonFiniteLossError(step, value)
 
 
+def _non_finite_grad(step, value, indices, results, names) -> NonFiniteLossError:
+    """The error for a finite step loss whose summed gradient is not finite,
+    naming the first utterance with a non-finite gradient among `names`.
+    `results` recomputes the step's per-utterance (..., grads) items; only
+    this failure path pays for it."""
+    for idx, (*_, grads) in zip(indices, results):
+        if not all(np.isfinite(grads[name]).all() for name in names):
+            return NonFiniteLossError(step, value, utterance=idx, term="grad")
+    return NonFiniteLossError(step, value, term="grad")
+
+
 def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable):
     """`batch_fn(indices, step, alpha)` yields (ce, ctc, combined, grads) of
     each drawn utterance, in index order."""
@@ -248,6 +259,12 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
         combined_mean = combined_sum / size
         if not np.isfinite(combined_mean):
             raise _non_finite(step, combined_mean, indices, losses, alpha)
+        # A NaN frame no loss term scores can still reach the gradients
+        # through 0 * NaN; AdamW would then poison every parameter.
+        grad_sum = sum(float(g.sum()) for g in grad_total.values())
+        if not np.isfinite(grad_sum):
+            results = batch_fn(indices, step, alpha)
+            raise _non_finite_grad(step, grad_sum, indices, results, list(grad_total))
         if cfg.grad_clip > 0.0:
             _clip_grads(grad_total, cfg.grad_clip)
         hyper = AdamHyper(

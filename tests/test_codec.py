@@ -201,6 +201,39 @@ def test_values_no_writer_emits_rejected(tmp_path, tiny, name, offset, value):
         load_bytes(tmp_path, name, bytes(raw))
 
 
+# Byte offsets in tiny.corpus of utterance 0's first feature, true id and
+# noisy id: a 20-byte header, the frame count, then float32 features and
+# int32 ids.
+FEATURE_AT = 24
+TRUE_ID_AT = FEATURE_AT + 4 * FRAMES * FEATURE_DIM
+NOISY_ID_AT = TRUE_ID_AT + 4 * FRAMES
+
+
+def patched_corpus(tiny, how) -> bytes:
+    """tiny.corpus with one id outside [0, vocab) or one non-finite feature."""
+    raw = bytearray(tiny["tiny.corpus"])
+    fmt, offset, value = {
+        "true_id_vocab": ("<i", TRUE_ID_AT, VOCAB),
+        "noisy_id_99": ("<i", NOISY_ID_AT + 4, 99),
+        "noisy_id_negative": ("<i", NOISY_ID_AT, -1),
+        "nan_feature": ("<f", FEATURE_AT + 4, float("nan")),
+        "inf_feature": ("<f", FEATURE_AT, float("-inf")),
+    }[how]
+    struct.pack_into(fmt, raw, offset, value)
+    return bytes(raw)
+
+
+CORPUS_VALUE_PATCHES = [
+    "true_id_vocab", "noisy_id_99", "noisy_id_negative", "nan_feature", "inf_feature"
+]
+
+
+@pytest.mark.parametrize("how", CORPUS_VALUE_PATCHES)
+def test_corpus_ids_and_features_checked(tmp_path, tiny, how):
+    with pytest.raises(VersionMismatchError, match="id outside|non-finite"):
+        load_bytes(tmp_path, "tiny.corpus", patched_corpus(tiny, how))
+
+
 def test_empty_corpus_is_empty_dataset_error(tmp_path, tiny):
     raw = bytearray(tiny["tiny.corpus"][:20])
     struct.pack_into("<I", raw, 8, 0)
@@ -209,6 +242,8 @@ def test_empty_corpus_is_empty_dataset_error(tmp_path, tiny):
 
 
 def malformed(tiny, name, how):
+    if how in CORPUS_VALUE_PATCHES:
+        return patched_corpus(tiny, how)
     raw = tiny[name]
     if how == "truncated":
         return raw[: len(raw) // 2]
@@ -233,6 +268,11 @@ def malformed(tiny, name, how):
         ("finetune", "tiny.blank", "zeroed", 4, "format"),
         ("export-blank", "embedding.ckpt", "trailing", 4, "format"),
         ("export-blank", "affine.ckpt", "zeroed", 4, "format"),
+    ]
+    + [
+        (command, "tiny.corpus", how, 4, "format")
+        for command in ("pretrain", "finetune", "analyze")
+        for how in ("true_id_vocab", "noisy_id_99", "nan_feature")
     ],
 )
 def test_cli_categorizes_malformed_files(

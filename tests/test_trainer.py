@@ -209,8 +209,28 @@ class TestTrain:
             train(corpus, tiny_train_config(steps=50, batch_size=6), tiny_model())
         assert exc_info.value.step == 0
         assert exc_info.value.utterance == 0
-        assert exc_info.value.term == "ce"
+        assert exc_info.value.term == "grad"
         assert "utterance 0" in str(exc_info.value)
+
+    def test_non_finite_frame_scored_by_ce_reports_ce(self):
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        cfg = tiny_train_config(steps=5, batch_size=6)
+        model = tiny_model()
+        utt = corpus.utterances[1]
+        frames = utt.features.shape[0]
+        mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, 1, 0)
+        masked = sample_mask(frames, cfg.mask_p, cfg.mask_l, mask_rng).frame_mask()
+        w = model.encoder.attn_window
+        # an unmasked frame that a masked (CE-scored) frame attends to
+        near = [
+            j for j in range(frames) if not masked[j] and masked[max(0, j - w) : j + w + 1].any()
+        ]
+        assert near
+        utt.features[near[0], 0] = np.nan
+        with pytest.raises(NonFiniteLossError) as exc_info:
+            train(corpus, cfg, model)
+        assert (exc_info.value.step, exc_info.value.utterance) == (0, 1)
+        assert exc_info.value.term == "ce"
 
     def test_non_finite_ctc_term_reported(self):
         corpus = gen_corpus(TINY_CORPUS_CFG)
