@@ -261,8 +261,19 @@ def cmd_analyze(ce_checkpoint, ctc_checkpoint, clean_path, jittered_path, out_di
     ctc_model = load_checkpoint(ctc_checkpoint)
     clean = load_corpus(clean_path)
     jittered = load_corpus(jittered_path)
-    if ce_model.encoder.feature_dim != ctc_model.encoder.feature_dim:
-        raise DimensionMismatchError("checkpoints were trained on different feature dims")
+    # Every corpus is checked against every checkpoint before any forward runs.
+    for name, corpus in (("clean", clean), ("jittered", jittered)):
+        for kind, model in (("ce", ce_model), ("ctc", ctc_model)):
+            if corpus.feature_dim != model.encoder.feature_dim:
+                raise DimensionMismatchError(
+                    f"{name} corpus feature dim {corpus.feature_dim} does not match "
+                    f"{kind} checkpoint {model.encoder.feature_dim}"
+                )
+            if corpus.vocab > model.head.vocab:
+                raise DimensionMismatchError(
+                    f"{name} corpus vocab {corpus.vocab} exceeds {kind} checkpoint "
+                    f"head vocab {model.head.vocab}"
+                )
     ce_report, ctc_report, verdict = compare_models(
         ce_model, ctc_model, clean.utterances, jittered.utterances
     )

@@ -1,8 +1,15 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import segctc.analysis
 from segctc import (
     CorpusConfig,
+    DimensionMismatchError,
     EmptyDatasetError,
     avg_posterior,
     compare_models,
@@ -69,6 +76,20 @@ class TestAvgPosterior:
         corpus = gen_corpus(CFG)
         with pytest.raises(ValueError):
             avg_posterior(make_model(), corpus.utterances, refs="wat")
+
+    @pytest.mark.parametrize("bad_id", [CFG.vocab, CFG.vocab + 3, -1])
+    def test_reference_outside_model_vocab(self, bad_id):
+        # id V is the blank column and -1 would index it from the end: both
+        # must be refused, not scored
+        clean, jittered = eval_split(CFG, 4)
+        utts = list(jittered.utterances)
+        noisy = utts[2].noisy_ids.copy()
+        noisy[-1] = bad_id
+        utts[2] = replace(utts[2], noisy_ids=noisy)
+        with pytest.raises(DimensionMismatchError):
+            avg_posterior(make_model(), utts)
+        with pytest.raises(DimensionMismatchError):
+            compare_models(make_model(), make_model(seed=1), clean.utterances, utts)
 
 
 class TestDegradationReport:
@@ -142,3 +163,81 @@ class TestCompareModels:
         assert ce_row.startswith("ce\t")
         assert ctc_row.startswith("ctc\t")
         assert verdict_row.startswith("verdict\t")
+
+
+def four_passes(ce_model, ctc_model, clean, jittered):
+    """compare_models as one avg_posterior call per (model, reference set)."""
+    reports = [
+        degradation_report(avg_posterior(model, clean), avg_posterior(model, jittered))
+        for model in (ce_model, ctc_model)
+    ]
+    return (*reports, reports[1].relative_degradation < reports[0].relative_degradation)
+
+
+@st.composite
+def analysis_cases(draw):
+    """A small eval_split pair and two models, one seed apart."""
+    vocab = draw(st.integers(2, 6))
+    feature_dim = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    cfg = CorpusConfig(
+        utterances=1,
+        frames=draw(st.integers(1, 24)),
+        vocab=vocab,
+        feature_dim=feature_dim,
+        sigma=0.3,
+        seed=seed,
+    )
+    clean, jittered = eval_split(cfg, draw(st.integers(2, 4)))
+    shape = dict(
+        feature_dim=feature_dim,
+        model_dim=6,
+        embed_dim=5,
+        vocab=vocab,
+        n_blocks=draw(st.integers(1, 2)),
+        nonlin=draw(st.sampled_from(["tanh", "relu"])),
+        n_pos=4,
+        attn_window=draw(st.sampled_from([0, 1, 3])),
+    )
+    models = [init_model(rng=seeded_rng(seed + k, 2), **shape) for k in (0, 1)]
+    return models, clean.utterances, jittered.utterances
+
+
+def perturbed(utterances, index=0):
+    """The same utterances with one utterance's features shifted."""
+    utts = list(utterances)
+    utts[index] = replace(utts[index], features=utts[index].features + 1.0)
+    return utts
+
+
+class TestSharedForward:
+    @settings(max_examples=40, deadline=None)
+    @given(analysis_cases())
+    def test_shared_pair_equals_four_passes(self, case):
+        (ce, ctc), clean, jittered = case
+        assert compare_models(ce, ctc, clean, jittered) == four_passes(ce, ctc, clean, jittered)
+
+    @settings(max_examples=20, deadline=None)
+    @given(analysis_cases())
+    def test_fallback_equals_two_passes(self, case):
+        (ce, ctc), clean, jittered = case
+        for other in (perturbed(jittered, index=len(jittered) - 1), jittered[:-1]):
+            assert compare_models(ce, ctc, clean, other) == four_passes(ce, ctc, clean, other)
+
+    def test_forward_count(self, monkeypatch):
+        calls = Counter()
+        forward = segctc.analysis.model_logits
+
+        def counting(model, features):
+            calls[id(model)] += 1
+            return forward(model, features)
+
+        monkeypatch.setattr(segctc.analysis, "model_logits", counting)
+        clean, jittered = eval_split(CFG, 4)
+        ce, ctc = make_model(seed=6), make_model(seed=7)
+        n = len(clean.utterances)
+        compare_models(ce, ctc, clean.utterances, jittered.utterances)
+        assert calls == {id(ce): n, id(ctc): n}
+        calls.clear()
+        compare_models(ce, ctc, clean.utterances, perturbed(jittered.utterances))
+        assert calls == {id(ce): 2 * n, id(ctc): 2 * n}

@@ -408,3 +408,39 @@ class TestAnalyze:
         assert "ctc_degrades_less: false" in stdout  # identical checkpoints
         assert (out / "report.txt").read_text() == stdout
         assert (out / "report.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, which",
+        [("vocab=30", "clean"), ("vocab=30", "jittered"), ("feature_dim=5", "jittered")],
+    )
+    def test_corpus_beyond_checkpoint_is_data_error_before_any_forward(
+        self, tmp_path, generated, pretrained, capsys, setting, which
+    ):
+        key = setting.split("=")[0]
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("\n".join([s for s in FAST if not s.startswith(key)] + [setting]) + "\n")
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(wide)]) == 0
+        corpora = {name: generated / f"eval_{name}.corpus" for name in ("clean", "jittered")}
+        corpora[which] = wide / f"eval_{which}.corpus"
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(
+            [
+                "analyze",
+                "--ce-checkpoint",
+                str(pretrained),
+                "--ctc-checkpoint",
+                str(pretrained),
+                "--eval-clean",
+                str(corpora["clean"]),
+                "--eval-jittered",
+                str(corpora["jittered"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 6
+        assert capsys.readouterr().err.startswith("error[data]")
+        assert list(out.iterdir()) == []
