@@ -13,6 +13,18 @@ through strided windows that copy nothing; the band's transposed products in
 the backward pass are gathers along anti-diagonals, not scatters.
 `attn_window = 0` means dense attention over all T x T pairs.
 
+The encoder runs over a pack: the utterances of a batch laid end to end along
+time as one (sum T, d) array, so a training step makes one forward and one
+backward (sequence packing with a block-diagonal mask). Each utterance gets
+its own position channels, and the band pad is the concatenation of each
+utterance's own pad, h = min(w, T_max - 1): every slot that would reach into
+a neighbour is -inf, its weight exactly 0, so a finite neighbour adds exactly
+0 (a non-finite one makes its neighbours non-finite too, through 0 * inf).
+Dense attention runs per utterance inside the pack. Each weight gradient is
+formed per utterance, on that utterance's rows, so it is bitwise the
+gradient of a pack of one wherever BLAS picks the same kernel for both
+shapes; model_forward and model_backward are that pack of one.
+
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
 Under this bilinear form the blank class collapses exactly to one affine row
@@ -230,21 +242,52 @@ def _nonlin_deriv(u: np.ndarray, v: np.ndarray, kind: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _position_table(total_frames: int, n_pos: int) -> np.ndarray:
-    """position_channels, computed once per shape and shared read-only."""
-    table = position_channels(total_frames, n_pos)
+def _position_table(lengths: tuple[int, ...], n_pos: int) -> np.ndarray:
+    """Each utterance's own position channels, in pack order; computed once
+    per pack shape and shared read-only."""
+    table = np.concatenate([position_channels(frames, n_pos) for frames in lengths])
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=256)
-def _band_pad(frames: int, half: int) -> np.ndarray:
-    """Additive (frames, 2*half+1) score pad: slot o of row t pairs frame t
-    with frame t + o - half, and is -inf where that frame does not exist."""
-    keys = np.arange(frames)[:, None] + np.arange(-half, half + 1)[None, :]
-    pad = np.where((keys >= 0) & (keys < frames), 0.0, -np.inf)
+def _band_pad(lengths: tuple[int, ...], half: int) -> np.ndarray:
+    """Additive (sum T, 2*half+1) score pad of a pack: slot o of row t pairs
+    frame t with frame t + o - half, and is -inf where that frame lies outside
+    t's own utterance, so no attention weight crosses into a neighbour."""
+    offsets = np.arange(-half, half + 1)
+    pads = []
+    for frames in lengths:
+        keys = np.arange(frames)[:, None] + offsets
+        pads.append(np.where((keys >= 0) & (keys < frames), 0.0, -np.inf))
+    pad = np.concatenate(pads)
     pad.flags.writeable = False
     return pad
+
+
+def _slices(lengths: tuple[int, ...]) -> list[slice]:
+    """The rows of each utterance of a pack."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - frames, end) for frames, end in zip(lengths, ends)]
+
+
+def _per_utterance_products(a: np.ndarray, b: np.ndarray, lengths) -> np.ndarray | list:
+    """a[s].T @ b[s] for the rows s of every utterance, indexable by utterance:
+    one stacked matmul when every length is equal, one product each otherwise."""
+    count, frames = len(lengths), lengths[0]
+    if lengths.count(frames) == count:
+        a3 = a.reshape(count, frames, a.shape[1]).transpose(0, 2, 1)
+        return np.matmul(a3, b.reshape(count, frames, b.shape[1]))
+    return [a[s].T @ b[s] for s in _slices(lengths)]
+
+
+def _per_utterance_sums(a: np.ndarray, lengths) -> np.ndarray | list:
+    """a[s].sum(axis=0) for the rows s of every utterance, indexable by
+    utterance."""
+    count, frames = len(lengths), lengths[0]
+    if lengths.count(frames) == count:
+        return a.reshape(count, frames, a.shape[1]).sum(axis=1)
+    return [a[s].sum(axis=0) for s in _slices(lengths)]
 
 
 def _strided_view(padded: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
@@ -283,10 +326,11 @@ def _padded_matmul(v: np.ndarray, weight: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def _banded_attention(v, attn: AttentionParams, half: int, scale: float):
-    """Attention restricted to |i - j| <= half, computed on the (T, 2*half+1)
-    band only. Returns the attention output and the backward's record, whose
-    q, k, w and att are padded by `half` zero rows on each side."""
+def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float):
+    """Attention restricted to |i - j| <= half within each utterance of the
+    pack, computed on the (sum T, 2*half+1) band only. Returns the attention
+    output and the backward's record, whose q, k, w and att are padded by
+    `half` zero rows on each side."""
     frames = v.shape[0]
     width = 2 * half + 1
     rows = slice(half, half + frames)
@@ -297,7 +341,7 @@ def _banded_attention(v, attn: AttentionParams, half: int, scale: float):
     att = att_padded[rows]
     np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
     att *= scale
-    att += _band_pad(frames, half)
+    att += _band_pad(lengths, half)
     att -= att.max(axis=1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
@@ -328,46 +372,59 @@ def _banded_attention_backward(do, rec, half: int, scale: float):
     return dq, dk, dw
 
 
-def _dense_attention(v, attn: AttentionParams, scale: float):
-    """Full attention over all T x T frame pairs."""
+def _dense_attention(v, attn: AttentionParams, lengths, scale: float):
+    """Full attention over all frame pairs of each utterance of the pack."""
     q = v @ attn.wq.T
     k = v @ attn.wk.T
     w = v @ attn.wv.T
-    att = (q @ k.T) * scale
-    att -= att.max(axis=1, keepdims=True)
-    np.exp(att, out=att)
-    att /= att.sum(axis=1, keepdims=True)
-    return att @ w, {"q": q, "k": k, "w": w, "att": att}
+    out = np.empty_like(w)
+    atts = []
+    for s in _slices(lengths):
+        att = (q[s] @ k[s].T) * scale
+        att -= att.max(axis=1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=1, keepdims=True)
+        np.matmul(att, w[s], out=out[s])
+        atts.append(att)
+    return out, {"q": q, "k": k, "w": w, "att": atts}
 
 
-def _dense_attention_backward(do, rec, scale: float):
-    att, q, k, w = rec["att"], rec["q"], rec["k"], rec["w"]
-    dw = att.T @ do
-    datt = do @ w.T
-    dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True))
-    dq = (dscores @ k) * scale
-    dk = (dscores.T @ q) * scale
+def _dense_attention_backward(do, rec, lengths, scale: float):
+    q, k, w = rec["q"], rec["k"], rec["w"]
+    dq, dk, dw = np.empty_like(do), np.empty_like(do), np.empty_like(do)
+    for s, att in zip(_slices(lengths), rec["att"]):
+        dw[s] = att.T @ do[s]
+        datt = do[s] @ w[s].T
+        dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True))
+        dq[s] = (dscores @ k[s]) * scale
+        dk[s] = (dscores.T @ q[s]) * scale
     return dq, dk, dw
 
 
-def _band_half_width(params: EncoderParams, frames: int) -> int:
-    """The band half-width a window of `attn_window` frames has over `frames`
-    frames: a wider band would only add slots that point past either end."""
-    return min(params.attn_window, frames - 1)
+def _band_half_width(params: EncoderParams, lengths) -> int:
+    """The band half-width a window of `attn_window` frames has over a pack:
+    a wider band would only add slots that point past every utterance."""
+    return min(params.attn_window, max(lengths) - 1)
 
 
 def _encoder_forward(features, params: EncoderParams):
-    x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[1] != params.feature_dim:
-        raise DimensionMismatchError(
-            f"features of shape {x.shape} do not match feature dimension {params.feature_dim}"
-        )
-    frames = x.shape[0]
-    xin = np.concatenate([x, _position_table(frames, params.n_pos)], axis=1)
+    """Hidden states (sum T, d_model) of the already-masked (T_i, d) frames
+    of every utterance in `features`, laid end to end along time."""
+    arrays = [np.asarray(x, dtype=float) for x in features]
+    for x in arrays:
+        if x.ndim != 2 or x.shape[1] != params.feature_dim:
+            raise DimensionMismatchError(
+                f"features of shape {x.shape} do not match feature dimension "
+                f"{params.feature_dim}"
+            )
+    lengths = tuple(x.shape[0] for x in arrays)
+    xin = np.empty((sum(lengths), params.feature_dim + params.n_pos))
+    np.concatenate(arrays, out=xin[:, : params.feature_dim])
+    xin[:, params.feature_dim :] = _position_table(lengths, params.n_pos)
     h = xin @ params.input_weight.T + params.input_bias
-    cache = {"xin": xin, "blocks": []}
+    cache = {"lengths": lengths, "xin": xin, "blocks": []}
     scale = 1.0 / np.sqrt(params.model_dim)
-    half = _band_half_width(params, frames)
+    half = _band_half_width(params, lengths)
     for block in params.blocks:
         h_in = h
         u = h_in @ block.weight.T + block.bias
@@ -375,9 +432,9 @@ def _encoder_forward(features, params: EncoderParams):
         record = {"h_in": h_in, "u": u, "v": v}
         if block.attention is not None:
             if params.attn_window > 0:
-                out, attn_record = _banded_attention(v, block.attention, half, scale)
+                out, attn_record = _banded_attention(v, block.attention, lengths, half, scale)
             else:
-                out, attn_record = _dense_attention(v, block.attention, scale)
+                out, attn_record = _dense_attention(v, block.attention, lengths, scale)
             h = v + out
             record.update(attn_record)
         else:
@@ -388,13 +445,16 @@ def _encoder_forward(features, params: EncoderParams):
 
 def encoder_forward(features, params: EncoderParams) -> np.ndarray:
     """Hidden states (T, d_model) for already-masked input frames."""
-    return _encoder_forward(features, params)[0]
+    return _encoder_forward([features], params)[0]
 
 
-def _encoder_backward(dh, params: EncoderParams, cache) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
+def _encoder_backward(dh, params: EncoderParams, cache):
+    """Per-utterance parameter gradients of the pack in `cache` (each value
+    indexable by utterance) and the (sum T, d) input-frame gradient."""
+    lengths = cache["lengths"]
+    grads = {}
     scale = 1.0 / np.sqrt(params.model_dim)
-    half = _band_half_width(params, dh.shape[0])
+    half = _band_half_width(params, lengths)
     for i in range(len(params.blocks) - 1, -1, -1):
         block = params.blocks[i]
         rec = cache["blocks"][i]
@@ -403,22 +463,21 @@ def _encoder_backward(dh, params: EncoderParams, cache) -> dict[str, np.ndarray]
             if params.attn_window > 0:
                 dq, dk, dw = _banded_attention_backward(dh, rec, half, scale)
             else:
-                dq, dk, dw = _dense_attention_backward(dh, rec, scale)
-            grads[f"encoder.blocks.{i}.attention.wq"] = dq.T @ v
-            grads[f"encoder.blocks.{i}.attention.wk"] = dk.T @ v
-            grads[f"encoder.blocks.{i}.attention.wv"] = dw.T @ v
+                dq, dk, dw = _dense_attention_backward(dh, rec, lengths, scale)
+            grads[f"encoder.blocks.{i}.attention.wq"] = _per_utterance_products(dq, v, lengths)
+            grads[f"encoder.blocks.{i}.attention.wk"] = _per_utterance_products(dk, v, lengths)
+            grads[f"encoder.blocks.{i}.attention.wv"] = _per_utterance_products(dw, v, lengths)
             dv = dh + dq @ block.attention.wq + dk @ block.attention.wk + dw @ block.attention.wv
         else:
             dv = dh
         du = dv * _nonlin_deriv(rec["u"], rec["v"], params.nonlin)
-        grads[f"encoder.blocks.{i}.weight"] = du.T @ rec["h_in"]
-        grads[f"encoder.blocks.{i}.bias"] = du.sum(axis=0)
+        grads[f"encoder.blocks.{i}.weight"] = _per_utterance_products(du, rec["h_in"], lengths)
+        grads[f"encoder.blocks.{i}.bias"] = _per_utterance_sums(du, lengths)
         dh = du @ block.weight
-    grads["encoder.input_weight"] = dh.T @ cache["xin"]
-    grads["encoder.input_bias"] = dh.sum(axis=0)
+    grads["encoder.input_weight"] = _per_utterance_products(dh, cache["xin"], lengths)
+    grads["encoder.input_bias"] = _per_utterance_sums(dh, lengths)
     dxin = dh @ params.input_weight
-    grads["_dx"] = dxin[:, : params.feature_dim]
-    return grads
+    return grads, dxin[:, : params.feature_dim]
 
 
 def compute_logits(hidden, head) -> np.ndarray:
@@ -442,11 +501,57 @@ def compute_logits(hidden, head) -> np.ndarray:
     raise TypeError(f"unknown head type {type(head).__name__}")
 
 
-def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
-    """Logits (T, V+1) plus the cache needed by model_backward."""
+def pack_forward(model: Model, features) -> tuple[np.ndarray, dict]:
+    """Logits (sum T, V+1) of the (T_i, d) utterances in `features`, laid end
+    to end along time, plus the cache needed by pack_backward."""
     hidden, cache = _encoder_forward(features, model.encoder)
     cache["hidden"] = hidden
     return compute_logits(hidden, model.head), cache
+
+
+def pack_backward(model: Model, cache, dlogits, masked_rows) -> list[dict[str, np.ndarray]]:
+    """Parameter gradients of every utterance of a pack_forward cache, in
+    pack order, for the (sum T, V+1) logit gradient `dlogits`.
+
+    `masked_rows[i]` are utterance i's frame indices whose input was the mask
+    embedding (or None); their input gradients accumulate into the mask
+    embedding's gradient.
+    """
+    dlogits = np.asarray(dlogits, dtype=float)
+    hidden, lengths = cache["hidden"], cache["lengths"]
+    head = model.head
+    if isinstance(head, EmbeddingHead):
+        # compute_logits's projection, recomputed bit for bit from the same inputs
+        proj = hidden @ head.proj_weight.T + head.proj_bias
+        dproj = dlogits @ head.embeddings
+        grads = {
+            "head.embeddings": _per_utterance_products(dlogits, proj, lengths),
+            "head.proj_weight": _per_utterance_products(dproj, hidden, lengths),
+            "head.proj_bias": _per_utterance_sums(dproj, lengths),
+        }
+        dh = dproj @ head.proj_weight
+    else:
+        grads = {
+            "head.weight": _per_utterance_products(dlogits, hidden, lengths),
+            "head.bias": _per_utterance_sums(dlogits, lengths),
+        }
+        dh = dlogits @ head.weight
+    encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
+    grads.update(encoder_grads)
+    out = []
+    for i, (rows, frames) in enumerate(zip(_slices(lengths), masked_rows)):
+        item = {name: g[i] for name, g in grads.items()}
+        if frames is not None and len(frames) > 0:
+            item["encoder.mask_embedding"] = dx[rows][frames].sum(axis=0)
+        else:
+            item["encoder.mask_embedding"] = np.zeros_like(model.encoder.mask_embedding)
+        out.append(item)
+    return out
+
+
+def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
+    """Logits (T, V+1) of one utterance plus the cache needed by model_backward."""
+    return pack_forward(model, [features])
 
 
 def model_logits(model: Model, features) -> np.ndarray:
@@ -454,33 +559,9 @@ def model_logits(model: Model, features) -> np.ndarray:
 
 
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:
-    """Parameter gradients for a loss whose logit gradient is `dlogits`.
-
-    `masked_rows` are the frame indices whose input was the mask embedding;
-    their input gradients accumulate into the mask embedding's gradient.
-    """
-    dlogits = np.asarray(dlogits, dtype=float)
-    hidden = cache["hidden"]
-    grads: dict[str, np.ndarray] = {}
-    if isinstance(model.head, EmbeddingHead):
-        # compute_logits's projection, recomputed bit for bit from the same inputs
-        proj = hidden @ model.head.proj_weight.T + model.head.proj_bias
-        dproj = dlogits @ model.head.embeddings
-        grads["head.embeddings"] = dlogits.T @ proj
-        grads["head.proj_weight"] = dproj.T @ hidden
-        grads["head.proj_bias"] = dproj.sum(axis=0)
-        dh = dproj @ model.head.proj_weight
-    else:
-        grads["head.weight"] = dlogits.T @ hidden
-        grads["head.bias"] = dlogits.sum(axis=0)
-        dh = dlogits @ model.head.weight
-    grads.update(_encoder_backward(dh, model.encoder, cache))
-    dx = grads.pop("_dx")
-    if masked_rows is not None and len(masked_rows) > 0:
-        grads["encoder.mask_embedding"] = dx[masked_rows].sum(axis=0)
-    else:
-        grads["encoder.mask_embedding"] = np.zeros_like(model.encoder.mask_embedding)
-    return grads
+    """Parameter gradients of one utterance for a loss whose logit gradient
+    is `dlogits`; `masked_rows` as in pack_backward."""
+    return pack_backward(model, cache, dlogits, [masked_rows])[0]
 
 
 def named_params(model: Model) -> list[tuple[str, np.ndarray]]:

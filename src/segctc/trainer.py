@@ -1,9 +1,11 @@
 """Mini-batch gradient training with decoupled-weight-decay Adam.
 
 Every random draw is keyed by (seed, stream, step[, utterance]) so runs are
-bit-reproducible. A step forwards its whole batch, computes the losses of all
-its utterances with one batched CTC call, then backpropagates and reduces the
-gradients in sorted utterance order to fix the summation order.
+bit-reproducible. A step lays its whole batch end to end along time and runs
+one packed forward, computes the losses of all its utterances with one batched
+CTC call, then runs one packed backward that forms each utterance's gradients
+on its own rows; they are reduced in sorted utterance order to fix the
+summation order.
 
 Metrics log format: one line per step, tab-separated
     step  ce  ctc  combined  alpha
@@ -11,8 +13,6 @@ Metrics log format: one line per step, tab-separated
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .ctc import ctc_loss_and_grad_batch
 from .errors import ConfigError, NonFiniteLossError, ShapeMismatchError
 from .masking import apply_mask, sample_mask
-from .model import Model, model_backward, model_forward, named_params, save_checkpoint
+from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint
 from .numerics import log_softmax
 from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss_batch
 from .seeding import seeded_rng
@@ -136,25 +136,26 @@ def format_metrics(metrics) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _pretrain_batch(model: Model, batch, alpha: float) -> Iterator[tuple[LossBreakdown, dict]]:
+def _split(log_probs: np.ndarray, cache) -> list[np.ndarray]:
+    """The rows of each utterance of a pack, as views."""
+    return np.split(log_probs, np.cumsum(cache["lengths"][:-1]))
+
+
+def _pretrain_batch(model: Model, batch, alpha: float) -> list[tuple[LossBreakdown, dict]]:
     """Masked joint loss and parameter gradients of every (features, ids,
-    spec) item, yielded in item order: all forwards, one joint-loss call over
-    every masked region, then one backward per item, each releasing its
-    forward cache."""
-    log_probs, caches = [], deque()
-    for features, _, spec in batch:
-        masked = apply_mask(features, spec, model.encoder.mask_embedding)
-        logits, cache = model_forward(model, masked)
-        log_probs.append(log_softmax(logits, axis=1))
-        caches.append(cache)
+    spec) item, in item order: one packed forward, one joint-loss call over
+    every masked region, then one packed backward."""
+    mask_embedding = model.encoder.mask_embedding
+    masked = [apply_mask(features, spec, mask_embedding) for features, _, spec in batch]
+    logits, cache = pack_forward(model, masked)
+    log_probs = _split(log_softmax(logits, axis=1), cache)
     losses = joint_loss_batch(
         [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)], alpha
     )
-    for (breakdown, dlogits), (_, _, spec) in zip(losses, batch):
-        masked_rows = np.flatnonzero(spec.frame_mask())
-        yield breakdown, model_backward(
-            model, caches.popleft(), dlogits, masked_rows=masked_rows
-        )
+    dlogits = np.concatenate([grad for _, grad in losses])
+    masked_rows = [np.flatnonzero(spec.frame_mask()) for _, _, spec in batch]
+    grads = pack_backward(model, cache, dlogits, masked_rows)
+    return [(breakdown, g) for (breakdown, _), g in zip(losses, grads)]
 
 
 def pretrain_loss_and_grads(
@@ -165,21 +166,18 @@ def pretrain_loss_and_grads(
     return result
 
 
-def _finetune_batch(model: Model, batch) -> Iterator[tuple[float, dict]]:
+def _finetune_batch(model: Model, batch) -> list[tuple[float, dict]]:
     """Token-normalized full-utterance CTC loss and parameter gradients of
-    every (features, label_ids) item, yielded in item order, with one CTC
-    call over the batch."""
-    log_probs, caches = [], deque()
-    for features, _ in batch:
-        logits, cache = model_forward(model, features)
-        log_probs.append(log_softmax(logits, axis=1))
-        caches.append(cache)
+    every (features, label_ids) item, in item order: one packed forward, one
+    CTC call over the batch and one packed backward."""
+    logits, cache = pack_forward(model, [features for features, _ in batch])
+    log_probs = _split(log_softmax(logits, axis=1), cache)
     targets = [dedup(label_ids) for _, label_ids in batch]
     losses, dlogits = ctc_loss_and_grad_batch(log_probs, targets)
-    for target, loss, grad in zip(targets, losses, dlogits):
-        tokens = max(1, target.size)
-        grads = model_backward(model, caches.popleft(), grad / tokens, masked_rows=None)
-        yield float(loss) / tokens, grads
+    tokens = [max(1, target.size) for target in targets]
+    dlogits = np.concatenate([grad / n for grad, n in zip(dlogits, tokens)])
+    grads = pack_backward(model, cache, dlogits, [None] * len(batch))
+    return [(float(loss) / n, g) for loss, n, g in zip(losses, tokens, grads)]
 
 
 def finetune_loss_and_grads(model: Model, features, label_ids) -> tuple[float, dict]:
@@ -209,29 +207,27 @@ def _non_finite_term(ce: float, ctc: float, alpha: float) -> str | None:
     return None
 
 
-def _non_finite(step, value, indices, losses, alpha) -> NonFiniteLossError:
-    """The error for a non-finite step loss, naming the first utterance whose
-    loss is non-finite and its offending term."""
-    for idx, (ce, ctc, combined) in zip(indices, losses):
+def _non_finite(step, loss, grad_sum, results, indices, alpha, names) -> NonFiniteLossError:
+    """The error for a step whose mean loss or summed gradient is not finite,
+    from each drawn utterance's (ce, ctc, combined, grads) computed alone: a
+    packed step carries a non-finite value into the neighbouring utterances
+    (0 * inf), so its own per-utterance results cannot name the culprit. It
+    names the first utterance whose loss is non-finite and its offending
+    term; failing that, the first with a non-finite gradient among `names`."""
+    for idx, (ce, ctc, combined, _) in zip(indices, results):
         if not np.isfinite(combined):
             term = _non_finite_term(ce, ctc, alpha)
-            return NonFiniteLossError(step, value, utterance=idx, term=term)
-    return NonFiniteLossError(step, value)
-
-
-def _non_finite_grad(step, value, indices, results, names) -> NonFiniteLossError:
-    """The error for a finite step loss whose summed gradient is not finite,
-    naming the first utterance with a non-finite gradient among `names`.
-    `results` recomputes the step's per-utterance (..., grads) items; only
-    this failure path pays for it."""
+            return NonFiniteLossError(step, loss, utterance=idx, term=term)
     for idx, (*_, grads) in zip(indices, results):
         if not all(np.isfinite(grads[name]).all() for name in names):
-            return NonFiniteLossError(step, value, utterance=idx, term="grad")
-    return NonFiniteLossError(step, value, term="grad")
+            return NonFiniteLossError(step, grad_sum, utterance=idx, term="grad")
+    if np.isfinite(loss):
+        return NonFiniteLossError(step, grad_sum, term="grad")
+    return NonFiniteLossError(step, loss)
 
 
 def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable):
-    """`batch_fn(indices, step, alpha)` yields (ce, ctc, combined, grads) of
+    """`batch_fn(indices, step, alpha)` returns (ce, ctc, combined, grads) of
     each drawn utterance, in index order."""
     if not corpus.utterances:
         raise ConfigError("corpus is empty")
@@ -245,9 +241,8 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
         grad_total = {name: np.zeros_like(p) for name, p in trainable}
         ce_sum = ctc_sum = combined_sum = 0.0
         alpha = effective_alpha(step, cfg.mode)
-        losses = []
-        for ce, ctc, combined, grads in batch_fn(indices, step, alpha):
-            losses.append((ce, ctc, combined))
+        results = batch_fn(indices, step, alpha)
+        for ce, ctc, combined, grads in results:
             ce_sum += ce
             ctc_sum += ctc
             combined_sum += combined
@@ -257,14 +252,14 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
             grad_total[name] /= size
         ce_mean, ctc_mean = ce_sum / size, ctc_sum / size
         combined_mean = combined_sum / size
-        if not np.isfinite(combined_mean):
-            raise _non_finite(step, combined_mean, indices, losses, alpha)
         # A NaN frame no loss term scores can still reach the gradients
         # through 0 * NaN; AdamW would then poison every parameter.
         grad_sum = sum(float(g.sum()) for g in grad_total.values())
-        if not np.isfinite(grad_sum):
-            results = batch_fn(indices, step, alpha)
-            raise _non_finite_grad(step, grad_sum, indices, results, list(grad_total))
+        if not (np.isfinite(combined_mean) and np.isfinite(grad_sum)):
+            alone = [batch_fn([idx], step, alpha)[0] for idx in indices]
+            raise _non_finite(
+                step, combined_mean, grad_sum, alone, indices, alpha, list(grad_total)
+            )
         if cfg.grad_clip > 0.0:
             _clip_grads(grad_total, cfg.grad_clip)
         hyper = AdamHyper(
@@ -301,8 +296,7 @@ def train(
             mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
             spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
             batch.append((utt.features, utt.noisy_ids, spec))
-        for b, grads in _pretrain_batch(model, batch, alpha):
-            yield b.ce, b.ctc, b.combined, grads
+        return [(b.ce, b.ctc, b.combined, g) for b, g in _pretrain_batch(model, batch, alpha)]
 
     return _run_loop(
         corpus, cfg, model, batch_fn, log_path, checkpoint_path, named_params(model)
@@ -329,8 +323,7 @@ def finetune(
             (corpus.utterances[idx].features, corpus.utterances[idx].true_ids)
             for idx in indices
         ]
-        for loss, grads in _finetune_batch(model, batch):
-            yield 0.0, loss, loss, grads
+        return [(0.0, loss, loss, g) for loss, g in _finetune_batch(model, batch)]
 
     trainable = named_params(model)
     if freeze_encoder:

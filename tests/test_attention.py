@@ -1,4 +1,5 @@
-"""Banded attention against the dense masked attention it replaced.
+"""Banded attention against the dense masked attention it replaced, and the
+packed encoder against its batch-of-one case.
 
 `reference_forward` and `reference_backward` are the earlier encoder pass for
 `attn_window = w > 0`: a full T x T score matrix with the cells outside
@@ -16,13 +17,24 @@ from segctc import (
     check_gradient,
     compute_logits,
     encoder_forward,
+    init_finetune_head,
     init_model,
+    model_backward,
+    model_forward,
     named_params,
     position_channels,
     pretrain_loss_and_grads,
     seeded_rng,
 )
-from segctc.model import _encoder_backward, _encoder_forward, _nonlin, _nonlin_deriv
+from segctc.model import (
+    Model,
+    _encoder_backward,
+    _encoder_forward,
+    _nonlin,
+    _nonlin_deriv,
+    pack_backward,
+    pack_forward,
+)
 
 RTOL = 1e-12
 
@@ -120,18 +132,19 @@ def test_band_equals_dense_masked_reference(data):
     x = rng.normal(size=(frames, 3))
     dh = rng.normal(size=(frames, model.encoder.model_dim))
 
-    hidden, cache = _encoder_forward(x, model.encoder)
+    hidden, cache = _encoder_forward([x], model.encoder)
     ref_hidden, ref_cache = reference_forward(x, model.encoder)
     assert_close(compute_logits(hidden, model.head), compute_logits(ref_hidden, model.head))
-    grads = _encoder_backward(dh, model.encoder, cache)
+    grads, dx = _encoder_backward(dh, model.encoder, cache)
     ref_grads = reference_backward(dh, model.encoder, ref_cache)
+    assert_close(dx, ref_grads.pop("_dx"))
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
-        assert_close(grads[name], ref)
+        assert_close(grads[name][0], ref)
 
 
-def cache_attention_shape(model, x):
-    return _encoder_forward(x, model.encoder)[1]["blocks"][0]["att"].shape
+def cache_attention(model, x):
+    return _encoder_forward([x], model.encoder)[1]["blocks"][0]["att"]
 
 
 def test_window_zero_is_full_attention():
@@ -140,8 +153,9 @@ def test_window_zero_is_full_attention():
     # a window as wide as the utterance masks nothing
     wide = banded_model(1, 8)
     assert_close(encoder_forward(x, model.encoder), encoder_forward(x, wide.encoder))
-    assert cache_attention_shape(model, x) == (9, 9)
-    assert cache_attention_shape(wide, x) == (9 + 2 * 8, 2 * 8 + 1)
+    (dense,) = cache_attention(model, x)
+    assert dense.shape == (9, 9)
+    assert cache_attention(wide, x).shape == (9 + 2 * 8, 2 * 8 + 1)
 
 
 @pytest.mark.parametrize(
@@ -186,3 +200,72 @@ def test_perturbation_stays_within_receptive_field(window, n_blocks):
         changed = np.flatnonzero(np.any(encoder_forward(moved, model.encoder) != base, axis=1))
         assert changed.min() == max(0, j - reach)
         assert changed.max() == min(frames - 1, j + reach)
+
+
+def pack_model(seed, window, flags, nonlin, affine):
+    model = banded_model(seed, window, attention=flags, nonlin=nonlin, n_blocks=len(flags))
+    if affine:
+        head = init_finetune_head(None, vocab=4, model_dim=5, rng=seeded_rng(seed, 65))
+        model = Model(encoder=model.encoder, head=head)
+    return model
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_pack_equals_per_utterance(data):
+    """One packed forward and backward over utterances of mixed lengths gives
+    each utterance's logits and gradients of the batch-of-one path. Bitwise
+    when every utterance has the pack's band (always when the lengths are
+    equal) and more than one frame; else to RTOL, since a wider band changes
+    how numpy groups each row's sums, and BLAS multiplies a one-row matrix by
+    another kernel than a taller one. The encoder also matches the dense
+    reference to RTOL."""
+    lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5), label="lengths")
+    if data.draw(st.booleans(), label="equal lengths"):
+        lengths = [lengths[0]] * len(lengths)
+    window = data.draw(st.integers(0, max(lengths) + 3), label="window")
+    nonlin = data.draw(st.sampled_from(["tanh", "relu"]), label="nonlin")
+    flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="attention")
+    affine = data.draw(st.booleans(), label="affine head")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    model = pack_model(seed, window, flags, nonlin, affine)
+    rng = seeded_rng(seed, 66)
+    features = [rng.normal(size=(frames, 3)) for frames in lengths]
+    dlogits = [rng.normal(size=(frames, 5)) for frames in lengths]
+    masked_rows = [
+        np.flatnonzero(rng.random(frames) < 0.3) if rng.random() < 0.7 else None
+        for frames in lengths
+    ]
+
+    logits, cache = pack_forward(model, features)
+    grads = pack_backward(model, cache, np.concatenate(dlogits), masked_rows)
+    half = min(window, max(lengths) - 1)
+    same_band = window == 0 or all(min(window, frames - 1) == half for frames in lengths)
+    exact = same_band and (min(lengths) > 1 or len(lengths) == 1)
+    check = np.testing.assert_array_equal if exact else assert_close
+    first = 0
+    for x, dl, rows, got in zip(features, dlogits, masked_rows, grads):
+        want_logits, one = model_forward(model, x)
+        check(logits[first : first + x.shape[0]], want_logits)
+        first += x.shape[0]
+        want = model_backward(model, one, dl, masked_rows=rows)
+        assert got.keys() == want.keys()
+        for name in want:
+            check(got[name], want[name])
+
+    if window == 0:
+        return
+    dh = rng.normal(size=(sum(lengths), model.encoder.model_dim))
+    hidden, cache = _encoder_forward(features, model.encoder)
+    encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
+    first = 0
+    for i, x in enumerate(features):
+        rows = slice(first, first + x.shape[0])
+        first += x.shape[0]
+        ref_hidden, ref_cache = reference_forward(x, model.encoder)
+        assert_close(hidden[rows], ref_hidden)
+        ref_grads = reference_backward(dh[rows], model.encoder, ref_cache)
+        assert_close(dx[rows], ref_grads.pop("_dx"))
+        for name, ref in ref_grads.items():
+            assert_close(encoder_grads[name][i], ref)
+
