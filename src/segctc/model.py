@@ -317,6 +317,13 @@ def _antidiagonals(padded: np.ndarray, frames: int) -> np.ndarray:
     return _strided_view(padded, (frames, width), (s0, s0 - s1), (width - 1) * s1)
 
 
+def _band_contract(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """(frames, d) rows sum_o weights[t, o] * windows[t, o]: one batched
+    (1, width) x (width, d) matmul, cheaper than the same einsum over strided
+    windows."""
+    return np.matmul(weights[:, None, :], windows)[:, 0, :]
+
+
 def _padded_matmul(v: np.ndarray, weight: np.ndarray, half: int) -> np.ndarray:
     """v @ weight.T written into rows [half, half + T) of a zero buffer with
     `half` zero rows on each side."""
@@ -345,7 +352,7 @@ def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float
     att -= att.max(axis=1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
-    out = np.einsum("to,tod->td", att, _windows(w, frames, width))
+    out = _band_contract(att, _windows(w, frames, width))
     return out, {"q": q, "k": k, "w": w, "att": att_padded}
 
 
@@ -362,13 +369,10 @@ def _banded_attention_backward(do, rec, half: int, scale: float):
     dscores_padded = np.zeros_like(att_padded)
     dscores = dscores_padded[rows]
     np.multiply(att, datt - (datt * att).sum(axis=1, keepdims=True), out=dscores)
-    dq = np.einsum("to,tod->td", dscores, _windows(k, frames, width)) * scale
-    dk = np.einsum(
-        "to,tod->td", _antidiagonals(dscores_padded, frames), _windows(q, frames, width)
-    ) * scale
-    dw = np.einsum(
-        "to,tod->td", _antidiagonals(att_padded, frames), _windows(do_padded, frames, width)
-    )
+    dq = _band_contract(dscores, _windows(k, frames, width)) * scale
+    dk = _band_contract(_antidiagonals(dscores_padded, frames), _windows(q, frames, width))
+    dk *= scale
+    dw = _band_contract(_antidiagonals(att_padded, frames), _windows(do_padded, frames, width))
     return dq, dk, dw
 
 
