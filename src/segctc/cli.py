@@ -90,8 +90,10 @@ class ExperimentConfig:
     def __post_init__(self):
         self.corpus_config()
         self.train_config()
-        if self.eval_utterances < 1:
-            raise ConfigError("eval_utterances must be >= 1")
+        if not 1 <= self.eval_utterances < 2**32:
+            raise ConfigError(
+                f"eval_utterances must lie in [1, 2^32), got {self.eval_utterances}"
+            )
         if self.d_model < 1 or self.d_embed < 1 or self.layers < 0:
             raise ConfigError("d_model and d_embed must be >= 1 and layers >= 0")
         if self.attention not in (0, 1):
@@ -129,9 +131,15 @@ SCHEMA["attention"] = _parse_bool
 
 
 def parse_config_file(path) -> dict:
-    """key=value lines; '#' starts a comment; unknown keys are rejected."""
-    values = {}
-    text = Path(path).read_text()
+    """key=value lines of UTF-8 text; '#' starts a comment; unknown and
+    repeated keys are rejected."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text: {exc.reason}") from exc
+    values, first_line = {}, {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -143,6 +151,11 @@ def parse_config_file(path) -> dict:
         raw_value = raw_value.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         try:
             values[key] = SCHEMA[key](raw_value)
         except ValueError as exc:

@@ -14,6 +14,7 @@ Corpus file format (version 1, little-endian):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,16 +44,17 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.utterances < 1 or self.frames < 1 or self.feature_dim < 1:
-            raise ConfigError("utterances, frames and feature_dim must be >= 1")
-        if self.vocab < 2:
-            raise ConfigError("vocab must be >= 2")
+        # Each is a u32 field of the corpus file.
+        for name, low in (("utterances", 1), ("frames", 1), ("feature_dim", 1), ("vocab", 2)):
+            value = getattr(self, name)
+            if not low <= value < 2**32:
+                raise ConfigError(f"{name} must lie in [{low}, 2^32), got {value}")
         for name in ("self_loop", "jitter_q", "corrupt_r"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if not self.sigma >= 0.0:
-            raise ConfigError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.jitter_k < 0:
             raise ConfigError("jitter_k must be >= 0")
         if self.seed < 0:

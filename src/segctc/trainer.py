@@ -13,6 +13,7 @@ Metrics log format: one line per step, tab-separated
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -94,17 +95,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
-        if not self.lr_peak > 0.0:
-            raise ConfigError("lr_peak must be > 0")
+        if not 0.0 < self.lr_peak < math.inf:
+            raise ConfigError(f"lr_peak must be finite and > 0, got {self.lr_peak}")
         if self.lr_warmup_steps < 0:
             raise ConfigError("lr_warmup_steps must be >= 0")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0.0:
-            raise ConfigError("adam_eps must be > 0")
-        if not (self.weight_decay >= 0.0 and self.grad_clip >= 0.0):
-            raise ConfigError("weight_decay and grad_clip must be >= 0")
+        if not 0.0 < self.adam_eps < math.inf:
+            raise ConfigError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        for name in ("weight_decay", "grad_clip"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.mask_p <= 1.0 or self.mask_l < 1:
             raise ConfigError("mask_p must lie in [0, 1] and mask_l must be >= 1")
         if self.seed < 0:

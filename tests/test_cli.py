@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from segctc import load_checkpoint, read_blank_params
-from segctc.cli import ExperimentConfig, build_config, main, parse_config_file
+from segctc import ConfigError, load_checkpoint, read_blank_params
+from segctc.cli import SCHEMA, ExperimentConfig, build_config, main, parse_config_file
 
 FAST = [
     "utterances=6",
@@ -77,6 +81,93 @@ class TestConfigParsing:
         assert cfg.corpus_config().seed == 4
 
 
+class TestConfigText:
+    """Config text that is not a valid config is a ConfigError naming the line,
+    never another exception."""
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"steps=7\nseed=1\nnonlin=r\xe9lu\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: not UTF-8"):
+            parse_config_file(path)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error[config]")
+        assert list(out.iterdir()) == []
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("vocab=5\n# vocab again\nvocab=6\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: key 'vocab' repeats line 1"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("key", ["utterances", "frames", "feature_dim", "vocab", "eval_utterances"])
+    def test_counts_fit_the_corpus_file(self, key):
+        ExperimentConfig(**{key: 2**32 - 1})  # validation only; nothing is generated
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: 2**32})
+
+    def test_huge_utterance_count_rejected_from_text(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("utterances=100000000000000000000000\n")
+        with pytest.raises(ConfigError, match="utterances"):
+            build_config(path, {})
+
+    @pytest.mark.parametrize("key", ["lr_peak", "adam_eps", "weight_decay", "grad_clip", "sigma"])
+    def test_infinite_floats_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{key: math.inf})
+
+
+U32_KEYS = ("utterances", "eval_utterances", "frames", "feature_dim", "vocab", "attn_window")
+FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
+
+config_values = st.one_of(
+    st.integers(-3, 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "", "tanh", "relu", "0x10", "1_0"]),
+    st.text(st.characters(blacklist_categories=["Cc", "Cs"]), max_size=4),
+)
+config_lines = st.one_of(
+    st.tuples(st.sampled_from(sorted(SCHEMA)), config_values).map("=".join),
+    st.text(st.characters(blacklist_categories=["Cc", "Cs"]), max_size=8),
+    st.just("# comment"),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(config_lines, max_size=6),
+    repeat=st.booleans(),
+    bad_byte=st.one_of(st.none(), st.tuples(st.integers(0, 6), st.integers(0x80, 0xFF))),
+)
+def test_config_text_fuzz(tmp_path, capsys, lines, repeat, bad_byte):
+    """Random config text builds a valid config or raises ConfigError, and the
+    CLI then exits 2 before any work. Valid configs are only built, never run,
+    so no case starts a large run."""
+    if repeat and lines:
+        lines = lines + [lines[0]]
+    data = [line.encode("utf-8") for line in lines]
+    if bad_byte is not None:
+        at, byte = bad_byte
+        data.insert(min(at, len(data)), bytes([byte]))
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(b"\n".join(data))
+    try:
+        cfg = build_config(path, {})
+    except ConfigError:
+        out = tmp_path / "fuzz_out"
+        out.mkdir(exist_ok=True)
+        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error[config]")
+        assert list(out.iterdir()) == []
+        return
+    assert bad_byte is None
+    assert all(math.isfinite(getattr(cfg, key)) for key in FLOAT_KEYS)
+    assert all(getattr(cfg, key) < 2**32 for key in U32_KEYS)
+
+
 INVALID_SETTINGS = [
     "nonlin=sigmoid",
     "n_pos=3",
@@ -90,6 +181,11 @@ INVALID_SETTINGS = [
     "d_embed=0",
     "grad_clip=-1",
     "beta1=1.5",
+    "lr_peak=inf",
+    "adam_eps=inf",
+    "weight_decay=inf",
+    "grad_clip=inf",
+    "sigma=inf",
 ]
 
 
