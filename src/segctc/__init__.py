@@ -51,6 +51,8 @@ from .model import (
     model_forward,
     model_logits,
     named_params,
+    pack_backward,
+    pack_forward,
     position_channels,
     read_blank_params,
     save_checkpoint,

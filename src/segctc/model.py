@@ -241,11 +241,20 @@ def _nonlin_deriv(u: np.ndarray, v: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
+def _join(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays concatenated along time; a pack of one is not copied. (The
+    copy and its freed source left glibc's heap top where every analysis
+    forward after it grew and trimmed the heap: ~155 minor page faults per
+    `cmd_analyze` call.)"""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 @lru_cache(maxsize=256)
 def _position_table(lengths: tuple[int, ...], n_pos: int) -> np.ndarray:
     """Each utterance's own position channels, in pack order; computed once
     per pack shape and shared read-only."""
-    table = np.concatenate([position_channels(frames, n_pos) for frames in lengths])
+    tables = [position_channels(frames, n_pos) for frames in lengths]
+    table = _join(tables)
     table.flags.writeable = False
     return table
 
@@ -260,7 +269,7 @@ def _band_pad(lengths: tuple[int, ...], half: int) -> np.ndarray:
     for frames in lengths:
         keys = np.arange(frames)[:, None] + offsets
         pads.append(np.where((keys >= 0) & (keys < frames), 0.0, -np.inf))
-    pad = np.concatenate(pads)
+    pad = _join(pads)
     pad.flags.writeable = False
     return pad
 
