@@ -253,8 +253,7 @@ def _join(arrays: list[np.ndarray]) -> np.ndarray:
 def _position_table(lengths: tuple[int, ...], n_pos: int) -> np.ndarray:
     """Each utterance's own position channels, in pack order; computed once
     per pack shape and shared read-only."""
-    tables = [position_channels(frames, n_pos) for frames in lengths]
-    table = _join(tables)
+    table = _join([position_channels(frames, n_pos) for frames in lengths])
     table.flags.writeable = False
     return table
 

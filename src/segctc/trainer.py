@@ -138,9 +138,9 @@ def format_metrics(metrics) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _split(log_probs: np.ndarray, cache) -> list[np.ndarray]:
+def _split(packed: np.ndarray, lengths) -> list[np.ndarray]:
     """The rows of each utterance of a pack, as views."""
-    return np.split(log_probs, np.cumsum(cache["lengths"][:-1]))
+    return np.split(packed, np.cumsum(lengths[:-1]))
 
 
 def _pretrain_batch(model: Model, batch, alpha: float) -> list[tuple[LossBreakdown, dict]]:
@@ -150,7 +150,7 @@ def _pretrain_batch(model: Model, batch, alpha: float) -> list[tuple[LossBreakdo
     mask_embedding = model.encoder.mask_embedding
     masked = [apply_mask(features, spec, mask_embedding) for features, _, spec in batch]
     logits, cache = pack_forward(model, masked)
-    log_probs = _split(log_softmax(logits, axis=1), cache)
+    log_probs = _split(log_softmax(logits, axis=1), cache["lengths"])
     losses = joint_loss_batch(
         [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)], alpha
     )
@@ -173,7 +173,7 @@ def _finetune_batch(model: Model, batch) -> list[tuple[float, dict]]:
     every (features, label_ids) item, in item order: one packed forward, one
     CTC call over the batch and one packed backward."""
     logits, cache = pack_forward(model, [features for features, _ in batch])
-    log_probs = _split(log_softmax(logits, axis=1), cache)
+    log_probs = _split(log_softmax(logits, axis=1), cache["lengths"])
     targets = [dedup(label_ids) for _, label_ids in batch]
     losses, dlogits = ctc_loss_and_grad_batch(log_probs, targets)
     tokens = [max(1, target.size) for target in targets]
