@@ -51,8 +51,6 @@ from .model import (
     model_forward,
     model_logits,
     named_params,
-    pack_backward,
-    pack_forward,
     position_channels,
     read_blank_params,
     save_checkpoint,

@@ -17,13 +17,16 @@ The encoder runs over a pack: the utterances of a batch laid end to end along
 time as one (sum T, d) array, so a training step makes one forward and one
 backward (sequence packing with a block-diagonal mask). Each utterance gets
 its own position channels, and the band pad is the concatenation of each
-utterance's own pad, h = min(w, T_max - 1): every slot that would reach into
-a neighbour is -inf, its weight exactly 0, so a finite neighbour adds exactly
-0 (a non-finite one makes its neighbours non-finite too, through 0 * inf).
-Dense attention runs per utterance inside the pack. Each weight gradient is
-formed per utterance, on that utterance's rows, so it is bitwise the
-gradient of a pack of one wherever BLAS picks the same kernel for both
-shapes; model_forward and model_backward are that pack of one.
+utterance's own pad, h = min(w, T_max - 1); both are cached per utterance
+length. Every slot that would reach into a neighbour is -inf, its weight
+exactly 0, so a finite neighbour adds exactly 0 (a non-finite one makes its
+neighbours non-finite too, through 0 * inf). Dense attention runs per
+utterance inside the pack. Each weight gradient is formed per utterance, on
+that utterance's rows, so it is bitwise the gradient of a pack of one
+wherever BLAS picks the same kernel for both shapes. `unpack` splits a
+packed array by utterance and pack_backward takes one logit gradient per
+utterance, so the layout is known here alone; model_forward and
+model_backward are the pack of one.
 
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
@@ -63,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -77,6 +81,22 @@ POSITION_BASE = 100.0
 
 NONLIN_CODES = {"tanh": 0, "relu": 1}
 _NONLIN_NAMES = {code: name for name, code in NONLIN_CODES.items()}
+
+
+def _keep_heap() -> None:
+    """Allocate and free one 4 MB block, which glibc's malloc serves by mmap.
+
+    glibc then raises its mmap threshold to the block's size and its trim
+    threshold to twice that, for the rest of the process. A pack's arrays
+    (~200 KB each for a default training step) then come from the heap, and
+    the heap is not trimmed after each step or analysis forward and faulted
+    back in by the next: ~300 minor page faults per default training step
+    without this, ~0 with it. Other allocators ignore the block."""
+    block = np.empty(4 << 20, np.uint8)
+    del block
+
+
+_keep_heap()
 
 
 @dataclass
@@ -250,52 +270,39 @@ def _join(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _position_table(lengths: tuple[int, ...], n_pos: int) -> np.ndarray:
-    """Each utterance's own position channels, in pack order; computed once
-    per pack shape and shared read-only."""
-    table = _join([position_channels(frames, n_pos) for frames in lengths])
+def _position_table(frames: int, n_pos: int) -> np.ndarray:
+    """position_channels(frames, n_pos), computed once per utterance length
+    and shared read-only."""
+    table = position_channels(frames, n_pos)
     table.flags.writeable = False
     return table
 
 
 @lru_cache(maxsize=256)
-def _band_pad(lengths: tuple[int, ...], half: int) -> np.ndarray:
-    """Additive (sum T, 2*half+1) score pad of a pack: slot o of row t pairs
-    frame t with frame t + o - half, and is -inf where that frame lies outside
-    t's own utterance, so no attention weight crosses into a neighbour."""
-    offsets = np.arange(-half, half + 1)
-    pads = []
-    for frames in lengths:
-        keys = np.arange(frames)[:, None] + offsets
-        pads.append(np.where((keys >= 0) & (keys < frames), 0.0, -np.inf))
-    pad = _join(pads)
+def _band_pad(frames: int, half: int) -> np.ndarray:
+    """Additive (frames, 2*half+1) score pad of one utterance: slot o of row t
+    pairs frame t with frame t + o - half, and is -inf where that frame lies
+    outside the utterance. A pack's pad is its utterances' pads joined, so no
+    attention weight crosses into a neighbour."""
+    keys = np.arange(frames)[:, None] + np.arange(-half, half + 1)
+    pad = np.where((keys >= 0) & (keys < frames), 0.0, -np.inf)
     pad.flags.writeable = False
     return pad
 
 
 def _slices(lengths: tuple[int, ...]) -> list[slice]:
     """The rows of each utterance of a pack."""
-    ends = np.cumsum(lengths).tolist()
-    return [slice(end - frames, end) for frames, end in zip(lengths, ends)]
+    return [slice(end - frames, end) for frames, end in zip(lengths, accumulate(lengths))]
 
 
-def _per_utterance_products(a: np.ndarray, b: np.ndarray, lengths) -> np.ndarray | list:
-    """a[s].T @ b[s] for the rows s of every utterance, indexable by utterance:
-    one stacked matmul when every length is equal, one product each otherwise."""
-    count, frames = len(lengths), lengths[0]
-    if lengths.count(frames) == count:
-        a3 = a.reshape(count, frames, a.shape[1]).transpose(0, 2, 1)
-        return np.matmul(a3, b.reshape(count, frames, b.shape[1]))
-    return [a[s].T @ b[s] for s in _slices(lengths)]
+def _per_utterance_products(a: np.ndarray, b: np.ndarray, slices) -> list[np.ndarray]:
+    """a[s].T @ b[s] for the rows s of every utterance."""
+    return [a[s].T @ b[s] for s in slices]
 
 
-def _per_utterance_sums(a: np.ndarray, lengths) -> np.ndarray | list:
-    """a[s].sum(axis=0) for the rows s of every utterance, indexable by
-    utterance."""
-    count, frames = len(lengths), lengths[0]
-    if lengths.count(frames) == count:
-        return a.reshape(count, frames, a.shape[1]).sum(axis=1)
-    return [a[s].sum(axis=0) for s in _slices(lengths)]
+def _per_utterance_sums(a: np.ndarray, slices) -> list[np.ndarray]:
+    """a[s].sum(axis=0) for the rows s of every utterance."""
+    return [a[s].sum(axis=0) for s in slices]
 
 
 def _strided_view(padded: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
@@ -356,7 +363,7 @@ def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float
     att = att_padded[rows]
     np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
     att *= scale
-    att += _band_pad(lengths, half)
+    att += _join([_band_pad(frames, half) for frames in lengths])
     att -= att.max(axis=1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
@@ -384,14 +391,14 @@ def _banded_attention_backward(do, rec, half: int, scale: float):
     return dq, dk, dw
 
 
-def _dense_attention(v, attn: AttentionParams, lengths, scale: float):
+def _dense_attention(v, attn: AttentionParams, slices, scale: float):
     """Full attention over all frame pairs of each utterance of the pack."""
     q = v @ attn.wq.T
     k = v @ attn.wk.T
     w = v @ attn.wv.T
     out = np.empty_like(w)
     atts = []
-    for s in _slices(lengths):
+    for s in slices:
         att = (q[s] @ k[s].T) * scale
         att -= att.max(axis=1, keepdims=True)
         np.exp(att, out=att)
@@ -401,10 +408,10 @@ def _dense_attention(v, attn: AttentionParams, lengths, scale: float):
     return out, {"q": q, "k": k, "w": w, "att": atts}
 
 
-def _dense_attention_backward(do, rec, lengths, scale: float):
+def _dense_attention_backward(do, rec, slices, scale: float):
     q, k, w = rec["q"], rec["k"], rec["w"]
     dq, dk, dw = np.empty_like(do), np.empty_like(do), np.empty_like(do)
-    for s, att in zip(_slices(lengths), rec["att"]):
+    for s, att in zip(slices, rec["att"]):
         dw[s] = att.T @ do[s]
         datt = do[s] @ w[s].T
         dscores = att * (datt - (datt * att).sum(axis=1, keepdims=True))
@@ -430,11 +437,11 @@ def _encoder_forward(features, params: EncoderParams):
                 f"{params.feature_dim}"
             )
     lengths = tuple(x.shape[0] for x in arrays)
-    xin = np.empty((sum(lengths), params.feature_dim + params.n_pos))
-    np.concatenate(arrays, out=xin[:, : params.feature_dim])
-    xin[:, params.feature_dim :] = _position_table(lengths, params.n_pos)
+    tables = [_position_table(frames, params.n_pos) for frames in lengths]
+    xin = np.concatenate([_join(arrays), _join(tables)], axis=1)
     h = xin @ params.input_weight.T + params.input_bias
-    cache = {"lengths": lengths, "xin": xin, "blocks": []}
+    slices = _slices(lengths)
+    cache = {"lengths": lengths, "slices": slices, "xin": xin, "blocks": []}
     scale = 1.0 / np.sqrt(params.model_dim)
     half = _band_half_width(params, lengths)
     for block in params.blocks:
@@ -446,7 +453,7 @@ def _encoder_forward(features, params: EncoderParams):
             if params.attn_window > 0:
                 out, attn_record = _banded_attention(v, block.attention, lengths, half, scale)
             else:
-                out, attn_record = _dense_attention(v, block.attention, lengths, scale)
+                out, attn_record = _dense_attention(v, block.attention, slices, scale)
             h = v + out
             record.update(attn_record)
         else:
@@ -461,9 +468,9 @@ def encoder_forward(features, params: EncoderParams) -> np.ndarray:
 
 
 def _encoder_backward(dh, params: EncoderParams, cache):
-    """Per-utterance parameter gradients of the pack in `cache` (each value
-    indexable by utterance) and the (sum T, d) input-frame gradient."""
-    lengths = cache["lengths"]
+    """Per-utterance parameter gradients of the pack in `cache` (each value a
+    list in pack order) and the (sum T, d) input-frame gradient."""
+    lengths, slices = cache["lengths"], cache["slices"]
     grads = {}
     scale = 1.0 / np.sqrt(params.model_dim)
     half = _band_half_width(params, lengths)
@@ -475,19 +482,19 @@ def _encoder_backward(dh, params: EncoderParams, cache):
             if params.attn_window > 0:
                 dq, dk, dw = _banded_attention_backward(dh, rec, half, scale)
             else:
-                dq, dk, dw = _dense_attention_backward(dh, rec, lengths, scale)
-            grads[f"encoder.blocks.{i}.attention.wq"] = _per_utterance_products(dq, v, lengths)
-            grads[f"encoder.blocks.{i}.attention.wk"] = _per_utterance_products(dk, v, lengths)
-            grads[f"encoder.blocks.{i}.attention.wv"] = _per_utterance_products(dw, v, lengths)
+                dq, dk, dw = _dense_attention_backward(dh, rec, slices, scale)
+            grads[f"encoder.blocks.{i}.attention.wq"] = _per_utterance_products(dq, v, slices)
+            grads[f"encoder.blocks.{i}.attention.wk"] = _per_utterance_products(dk, v, slices)
+            grads[f"encoder.blocks.{i}.attention.wv"] = _per_utterance_products(dw, v, slices)
             dv = dh + dq @ block.attention.wq + dk @ block.attention.wk + dw @ block.attention.wv
         else:
             dv = dh
         du = dv * _nonlin_deriv(rec["u"], rec["v"], params.nonlin)
-        grads[f"encoder.blocks.{i}.weight"] = _per_utterance_products(du, rec["h_in"], lengths)
-        grads[f"encoder.blocks.{i}.bias"] = _per_utterance_sums(du, lengths)
+        grads[f"encoder.blocks.{i}.weight"] = _per_utterance_products(du, rec["h_in"], slices)
+        grads[f"encoder.blocks.{i}.bias"] = _per_utterance_sums(du, slices)
         dh = du @ block.weight
-    grads["encoder.input_weight"] = _per_utterance_products(dh, cache["xin"], lengths)
-    grads["encoder.input_bias"] = _per_utterance_sums(dh, lengths)
+    grads["encoder.input_weight"] = _per_utterance_products(dh, cache["xin"], slices)
+    grads["encoder.input_bias"] = _per_utterance_sums(dh, slices)
     dxin = dh @ params.input_weight
     return grads, dxin[:, : params.feature_dim]
 
@@ -515,43 +522,49 @@ def compute_logits(hidden, head) -> np.ndarray:
 
 def pack_forward(model: Model, features) -> tuple[np.ndarray, dict]:
     """Logits (sum T, V+1) of the (T_i, d) utterances in `features`, laid end
-    to end along time, plus the cache needed by pack_backward."""
+    to end along time, plus the cache needed by pack_backward and unpack."""
     hidden, cache = _encoder_forward(features, model.encoder)
     cache["hidden"] = hidden
     return compute_logits(hidden, model.head), cache
 
 
+def unpack(packed: np.ndarray, cache) -> list[np.ndarray]:
+    """Views of the rows of each utterance of a (sum T, ...) array laid out
+    like the pack in a pack_forward cache, in pack order."""
+    return [packed[s] for s in cache["slices"]]
+
+
 def pack_backward(model: Model, cache, dlogits, masked_rows) -> list[dict[str, np.ndarray]]:
     """Parameter gradients of every utterance of a pack_forward cache, in
-    pack order, for the (sum T, V+1) logit gradient `dlogits`.
+    pack order, for the per-utterance (T_i, V+1) logit gradients `dlogits`.
 
     `masked_rows[i]` are utterance i's frame indices whose input was the mask
     embedding (or None); their input gradients accumulate into the mask
     embedding's gradient.
     """
-    dlogits = np.asarray(dlogits, dtype=float)
-    hidden, lengths = cache["hidden"], cache["lengths"]
+    dlogits = _join([np.asarray(grad, dtype=float) for grad in dlogits])
+    hidden, slices = cache["hidden"], cache["slices"]
     head = model.head
     if isinstance(head, EmbeddingHead):
         # compute_logits's projection, recomputed bit for bit from the same inputs
         proj = hidden @ head.proj_weight.T + head.proj_bias
         dproj = dlogits @ head.embeddings
         grads = {
-            "head.embeddings": _per_utterance_products(dlogits, proj, lengths),
-            "head.proj_weight": _per_utterance_products(dproj, hidden, lengths),
-            "head.proj_bias": _per_utterance_sums(dproj, lengths),
+            "head.embeddings": _per_utterance_products(dlogits, proj, slices),
+            "head.proj_weight": _per_utterance_products(dproj, hidden, slices),
+            "head.proj_bias": _per_utterance_sums(dproj, slices),
         }
         dh = dproj @ head.proj_weight
     else:
         grads = {
-            "head.weight": _per_utterance_products(dlogits, hidden, lengths),
-            "head.bias": _per_utterance_sums(dlogits, lengths),
+            "head.weight": _per_utterance_products(dlogits, hidden, slices),
+            "head.bias": _per_utterance_sums(dlogits, slices),
         }
         dh = dlogits @ head.weight
     encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
     grads.update(encoder_grads)
     out = []
-    for i, (rows, frames) in enumerate(zip(_slices(lengths), masked_rows)):
+    for i, (rows, frames) in enumerate(zip(slices, masked_rows)):
         item = {name: g[i] for name, g in grads.items()}
         if frames is not None and len(frames) > 0:
             item["encoder.mask_embedding"] = dx[rows][frames].sum(axis=0)
@@ -573,7 +586,7 @@ def model_logits(model: Model, features) -> np.ndarray:
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:
     """Parameter gradients of one utterance for a loss whose logit gradient
     is `dlogits`; `masked_rows` as in pack_backward."""
-    return pack_backward(model, cache, dlogits, [masked_rows])[0]
+    return pack_backward(model, cache, [dlogits], [masked_rows])[0]
 
 
 def named_params(model: Model) -> list[tuple[str, np.ndarray]]:

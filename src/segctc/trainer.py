@@ -21,7 +21,7 @@ import numpy as np
 from .ctc import ctc_loss_and_grad_batch
 from .errors import ConfigError, NonFiniteLossError, ShapeMismatchError
 from .masking import apply_mask, sample_mask
-from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint
+from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint, unpack
 from .numerics import log_softmax
 from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss_batch
 from .seeding import seeded_rng
@@ -138,11 +138,6 @@ def format_metrics(metrics) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _split(packed: np.ndarray, lengths) -> list[np.ndarray]:
-    """The rows of each utterance of a pack, as views."""
-    return np.split(packed, np.cumsum(lengths[:-1]))
-
-
 def _pretrain_batch(model: Model, batch, alpha: float) -> list[tuple[LossBreakdown, dict]]:
     """Masked joint loss and parameter gradients of every (features, ids,
     spec) item, in item order: one packed forward, one joint-loss call over
@@ -150,11 +145,11 @@ def _pretrain_batch(model: Model, batch, alpha: float) -> list[tuple[LossBreakdo
     mask_embedding = model.encoder.mask_embedding
     masked = [apply_mask(features, spec, mask_embedding) for features, _, spec in batch]
     logits, cache = pack_forward(model, masked)
-    log_probs = _split(log_softmax(logits, axis=1), cache["lengths"])
+    log_probs = unpack(log_softmax(logits, axis=1), cache)
     losses = joint_loss_batch(
         [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)], alpha
     )
-    dlogits = np.concatenate([grad for _, grad in losses])
+    dlogits = [grad for _, grad in losses]
     masked_rows = [np.flatnonzero(spec.frame_mask()) for _, _, spec in batch]
     grads = pack_backward(model, cache, dlogits, masked_rows)
     return [(breakdown, g) for (breakdown, _), g in zip(losses, grads)]
@@ -173,11 +168,11 @@ def _finetune_batch(model: Model, batch) -> list[tuple[float, dict]]:
     every (features, label_ids) item, in item order: one packed forward, one
     CTC call over the batch and one packed backward."""
     logits, cache = pack_forward(model, [features for features, _ in batch])
-    log_probs = _split(log_softmax(logits, axis=1), cache["lengths"])
+    log_probs = unpack(log_softmax(logits, axis=1), cache)
     targets = [dedup(label_ids) for _, label_ids in batch]
     losses, dlogits = ctc_loss_and_grad_batch(log_probs, targets)
     tokens = [max(1, target.size) for target in targets]
-    dlogits = np.concatenate([grad / n for grad, n in zip(dlogits, tokens)])
+    dlogits = [grad / n for grad, n in zip(dlogits, tokens)]
     grads = pack_backward(model, cache, dlogits, [None] * len(batch))
     return [(float(loss) / n, g) for loss, n, g in zip(losses, tokens, grads)]
 

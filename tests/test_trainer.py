@@ -28,7 +28,7 @@ from segctc import (
     seeded_rng,
     train,
 )
-from segctc.model import Model
+from segctc.model import Model, _band_pad, _position_table
 from segctc.trainer import _BATCH_STREAM, _MASK_STREAM
 
 TINY_CORPUS_CFG = CorpusConfig(
@@ -341,6 +341,49 @@ class TestBatchedStep:
         assert metrics == expected
         for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestMixedLengths:
+    def test_equals_loop_and_caches_once_per_length(self):
+        """Utterances of different lengths draw a new set of lengths almost
+        every step. The packed step still equals the per-utterance loop, and
+        the position tables and band pads stay cached once per utterance
+        length, not once per batch."""
+        base = gen_corpus(dataclasses.replace(TINY_CORPUS_CFG, utterances=10))
+        lengths = [6, 8, 10, 12, 14, 16, 18, 20, 22, 24]
+        corpus = dataclasses.replace(
+            base,
+            utterances=[
+                dataclasses.replace(
+                    utt,
+                    features=utt.features[:frames],
+                    true_ids=utt.true_ids[:frames],
+                    noisy_ids=utt.noisy_ids[:frames],
+                )
+                for utt, frames in zip(base.utterances, lengths)
+            ],
+        )
+        cfg = tiny_train_config(steps=20, batch_size=3)
+        loop_model = tiny_model(seed=6)
+
+        def loss_and_grads(idx, step, alpha):
+            utt = corpus.utterances[idx]
+            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
+            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
+            b, grads = pretrain_loss_and_grads(
+                loop_model, utt.features, utt.noisy_ids, spec, alpha
+            )
+            return b.ce, b.ctc, b.combined, grads
+
+        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        _position_table.cache_clear()
+        _band_pad.cache_clear()
+        model, metrics = train(corpus, cfg, tiny_model(seed=6))
+        assert metrics == expected
+        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+            np.testing.assert_array_equal(got, want)
+        assert _position_table.cache_info().currsize <= len(lengths)
+        assert _band_pad.cache_info().currsize <= len(lengths)
 
 
 class TestFinetune:
