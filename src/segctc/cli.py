@@ -90,20 +90,24 @@ class ExperimentConfig:
     def __post_init__(self):
         self.corpus_config()
         self.train_config()
-        if not 1 <= self.eval_utterances < 2**32:
-            raise ConfigError(
-                f"eval_utterances must lie in [1, 2^32), got {self.eval_utterances}"
-            )
-        if self.d_model < 1 or self.d_embed < 1 or self.layers < 0:
-            raise ConfigError("d_model and d_embed must be >= 1 and layers >= 0")
+        # Each is a u32 field of the corpus or checkpoint file.
+        for name, low in (
+            ("eval_utterances", 1),
+            ("d_model", 1),
+            ("d_embed", 1),
+            ("layers", 0),
+            ("n_pos", 0),
+            ("attn_window", 0),
+        ):
+            value = getattr(self, name)
+            if not low <= value < 2**32:
+                raise ConfigError(f"{name} must lie in [{low}, 2^32), got {value}")
         if self.attention not in (0, 1):
             raise ConfigError(f"attention must be 0 or 1, got {self.attention}")
-        if not 0 <= self.attn_window < 2**32:
-            raise ConfigError(f"attn_window must lie in [0, 2^32), got {self.attn_window}")
         if self.nonlin not in NONLIN_CODES:
             raise ConfigError(f"nonlin must be one of {sorted(NONLIN_CODES)}, got {self.nonlin!r}")
-        if self.n_pos < 0 or self.n_pos % 2:
-            raise ConfigError(f"n_pos must be even and >= 0, got {self.n_pos}")
+        if self.n_pos % 2:
+            raise ConfigError(f"n_pos must be even, got {self.n_pos}")
 
     def corpus_config(self) -> CorpusConfig:
         fields = dataclasses.fields(CorpusConfig)

@@ -64,8 +64,11 @@ def adam_step(params, grads, state: AdamState, hyper: AdamHyper):
             raise ShapeMismatchError(
                 f"gradient for {name} has shape {g.shape}, parameter {p.shape}"
             )
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p)
+        if name not in state.v:
+            state.v[name] = np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         m *= hyper.beta1
         m += (1.0 - hyper.beta1) * g
         v *= hyper.beta2

@@ -17,6 +17,8 @@ from segctc import (
     eval_split,
     gen_corpus,
     init_model,
+    log_softmax,
+    model_logits,
     seeded_rng,
 )
 from segctc.analysis import format_report, report_tsv
@@ -165,10 +167,10 @@ class TestCompareModels:
         assert verdict_row.startswith("verdict\t")
 
 
-def four_passes(ce_model, ctc_model, clean, jittered):
-    """compare_models as one avg_posterior call per (model, reference set)."""
+def four_passes(ce_model, ctc_model, clean, jittered, posterior=avg_posterior):
+    """compare_models as one `posterior` call per (model, reference set)."""
     reports = [
-        degradation_report(avg_posterior(model, clean), avg_posterior(model, jittered))
+        degradation_report(posterior(model, clean), posterior(model, jittered))
         for model in (ce_model, ctc_model)
     ]
     return (*reports, reports[1].relative_degradation < reports[0].relative_degradation)
@@ -225,19 +227,118 @@ class TestSharedForward:
             assert compare_models(ce, ctc, clean, other) == four_passes(ce, ctc, clean, other)
 
     def test_forward_count(self, monkeypatch):
-        calls = Counter()
-        forward = segctc.analysis.model_logits
+        forwarded = Counter()
+        pack_sizes = []
+        forward = segctc.analysis.pack_forward
 
         def counting(model, features):
-            calls[id(model)] += 1
+            forwarded[id(model)] += len(features)
+            pack_sizes.append(len(features))
             return forward(model, features)
 
-        monkeypatch.setattr(segctc.analysis, "model_logits", counting)
-        clean, jittered = eval_split(CFG, 4)
+        monkeypatch.setattr(segctc.analysis, "pack_forward", counting)
+        clean, jittered = eval_split(CFG, 17)
         ce, ctc = make_model(seed=6), make_model(seed=7)
         n = len(clean.utterances)
         compare_models(ce, ctc, clean.utterances, jittered.utterances)
-        assert calls == {id(ce): n, id(ctc): n}
-        calls.clear()
+        assert forwarded == {id(ce): n, id(ctc): n}
+        assert pack_sizes == [8, 8, 1] * 2
+        forwarded.clear()
+        pack_sizes.clear()
         compare_models(ce, ctc, clean.utterances, perturbed(jittered.utterances))
-        assert calls == {id(ce): 2 * n, id(ctc): 2 * n}
+        assert forwarded == {id(ce): 2 * n, id(ctc): 2 * n}
+        assert max(pack_sizes) <= 8
+
+
+def loop_posterior(model, utterances):
+    """avg_posterior as one model_logits and one log_softmax per utterance."""
+    total = 0.0
+    frames = 0
+    for utt in utterances:
+        log_probs = log_softmax(model_logits(model, utt.features), axis=1)
+        ref = utt.noisy_ids
+        total += float(np.exp(log_probs[np.arange(ref.size), ref]).sum())
+        frames += ref.size
+    return total / frames
+
+
+def truncated(utterances, lengths):
+    """Each utterance cut to its own number of frames."""
+    return [
+        replace(
+            utt, features=utt.features[:n], true_ids=utt.true_ids[:n], noisy_ids=utt.noisy_ids[:n]
+        )
+        for utt, n in zip(utterances, lengths)
+    ]
+
+
+@st.composite
+def packed_cases(draw):
+    """Two models and an eval_split pair of 1-17 utterances of mixed lengths,
+    so that packs are full, partial or both."""
+    vocab = draw(st.integers(2, 6))
+    feature_dim = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**16))
+    count = draw(st.sampled_from([1, 7, 8, 9, 16, 17]))
+    cfg = CorpusConfig(
+        utterances=1, frames=24, vocab=vocab, feature_dim=feature_dim, sigma=0.3, seed=seed
+    )
+    clean, jittered = eval_split(cfg, count)
+    lengths = draw(st.lists(st.integers(1, 24), min_size=count, max_size=count))
+    shape = dict(
+        feature_dim=feature_dim,
+        model_dim=6,
+        embed_dim=5,
+        vocab=vocab,
+        n_blocks=draw(st.integers(1, 2)),
+        nonlin=draw(st.sampled_from(["tanh", "relu"])),
+        n_pos=4,
+        attn_window=draw(st.sampled_from([0, 1, 3])),
+    )
+    models = [init_model(rng=seeded_rng(seed + k, 2), **shape) for k in (0, 1)]
+    return models, truncated(clean.utterances, lengths), truncated(jittered.utterances, lengths)
+
+
+def assert_reports_close(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        for name in ("clean_prob", "degraded_prob", "relative_degradation"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0.0)
+
+
+class TestPackedForward:
+    @settings(max_examples=40, deadline=None)
+    @given(packed_cases())
+    def test_equals_per_utterance_loop(self, case):
+        (ce, ctc), clean, jittered = case
+        for model in (ce, ctc):
+            for utts in (clean, jittered):
+                assert avg_posterior(model, utts) == pytest.approx(
+                    loop_posterior(model, utts), rel=1e-12, abs=0.0
+                )
+        for other in (jittered, perturbed(jittered, index=len(jittered) - 1)):
+            want = four_passes(ce, ctc, clean, other, posterior=loop_posterior)
+            assert_reports_close(compare_models(ce, ctc, clean, other), want)
+
+    def test_default_shape_is_bitwise_per_utterance_loop(self):
+        # At T = 100 and d_model 32 every product of a pack runs on the same
+        # BLAS kernel as its pack of one, so the figures match bit for bit.
+        cfg = CorpusConfig(utterances=1, frames=100, vocab=20, feature_dim=16, seed=3)
+        clean, jittered = eval_split(cfg, 20)
+        ce, ctc = (
+            init_model(
+                feature_dim=16,
+                model_dim=32,
+                embed_dim=16,
+                vocab=20,
+                n_blocks=2,
+                rng=seeded_rng(seed, 2),
+                nonlin="relu",
+                n_pos=8,
+                attn_window=3,
+            )
+            for seed in (0, 1)
+        )
+        clean, jittered = clean.utterances, jittered.utterances
+        assert avg_posterior(ce, jittered) == loop_posterior(ce, jittered)
+        want = four_passes(ce, ctc, clean, jittered, posterior=loop_posterior)
+        assert compare_models(ce, ctc, clean, jittered) == want

@@ -108,6 +108,13 @@ class TestConfigText:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(**{key: 2**32})
 
+    @pytest.mark.parametrize("key", ["d_model", "d_embed", "layers", "n_pos"])
+    def test_model_sizes_fit_the_checkpoint_file(self, key):
+        ExperimentConfig(**{key: 2**32 - 2})  # validation only; no model is built
+        message = rf"^{key} must lie in \[\d, 2\^32\), got 4294967296$"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**{key: 2**32})
+
     def test_huge_utterance_count_rejected_from_text(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("utterances=100000000000000000000000\n")
@@ -120,7 +127,18 @@ class TestConfigText:
             ExperimentConfig(**{key: math.inf})
 
 
-U32_KEYS = ("utterances", "eval_utterances", "frames", "feature_dim", "vocab", "attn_window")
+U32_KEYS = (
+    "utterances",
+    "eval_utterances",
+    "frames",
+    "feature_dim",
+    "vocab",
+    "d_model",
+    "d_embed",
+    "layers",
+    "n_pos",
+    "attn_window",
+)
 FLOAT_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "float"]
 
 config_values = st.one_of(
@@ -178,6 +196,7 @@ INVALID_SETTINGS = [
     "alpha=1.5",
     "ce_warmup=-1",
     "attn_window=-1",
+    "d_model=4294967296",
     "d_embed=0",
     "grad_clip=-1",
     "beta1=1.5",
@@ -202,8 +221,12 @@ def valid_inputs(tmp_path_factory):
 
 @pytest.mark.parametrize("setting", INVALID_SETTINGS)
 def test_invalid_value_is_config_error_before_any_work(tmp_path, valid_inputs, capsys, setting):
+    # The setting replaces FAST's line for its key: a repeated key would be
+    # refused for the repeat, whatever its value.
+    key = setting.split("=")[0]
+    lines = [line for line in FAST if line.split("=")[0] != key] + [setting]
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(FAST + [setting]) + "\n")
+    cfg.write_text("\n".join(lines) + "\n")
     checkpoint = valid_inputs / "checkpoint.bin"
     inputs = {
         "gen-data": [],
@@ -221,7 +244,8 @@ def test_invalid_value_is_config_error_before_any_work(tmp_path, valid_inputs, c
         out.mkdir()
         code = main([command, "--config", str(cfg), *map(str, args), "--out", str(out)])
         assert code == 2, command
-        assert capsys.readouterr().err.startswith("error[config]"), command
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]") and key in err, command
         assert list(out.iterdir()) == [], command
 
 
