@@ -3,9 +3,10 @@
 Each file is a 4-byte magic, a u32 version and u32 header fields, followed by
 little-endian arrays whose sizes the header determines. The reader checks
 each declared size against the bytes left in the file before it reads or
-allocates, and rejects trailing bytes, so a malformed file raises
-VersionMismatchError. It reads array by array: a whole-file buffer made the
-allocator trim and re-fault the heap on every corpus load, which cost more.
+allocates, and rejects non-finite floats and trailing bytes, so a malformed
+file raises VersionMismatchError. It reads array by array: a whole-file buffer
+made the allocator trim and re-fault the heap on every corpus load, which cost
+more.
 """
 
 from __future__ import annotations
@@ -56,9 +57,12 @@ class FileReader:
         return struct.unpack(f"<{count}I", self._read(4 * count))
 
     def array(self, dtype: np.dtype, rows: int, cols: int | None = None) -> np.ndarray:
-        """A fresh float64 (float dtypes) or int array, 1-D or (rows, cols)."""
+        """A fresh float64 (float dtypes) or int array, 1-D or (rows, cols).
+        No writer emits a non-finite float, so one is a malformed file."""
         count = rows if cols is None else rows * cols
         raw = np.frombuffer(self._read(count * dtype.itemsize), dtype)
+        if dtype.kind == "f" and not np.isfinite(raw).all():
+            raise VersionMismatchError(f"corrupt {self._what} file: non-finite value")
         out = raw.astype(np.float64 if dtype.kind == "f" else int)
         return out if cols is None else out.reshape(rows, cols)
 

@@ -7,10 +7,11 @@ The loss is computed with the extended-label forward recursion (labels
 interleaved with blanks, 2U+1 states), entirely in the log domain.
 
 Every loss goes through one batched kernel: R lattices of different lengths
-are padded into one time-major batch and share a single alpha recursion and a
-single beta recursion over the longest lattice, so the Python loop over
-frames runs once per batch, not once per lattice. The one-lattice functions
-are batches of one.
+are padded into one time-major batch and share a single alpha recursion over
+the longest lattice, so the Python loop over frames runs once per batch, not
+once per lattice. There is no beta recursion: beta is the alpha of the
+time-reversed region, which rides in the same batch when a gradient is
+wanted. The one-lattice functions are batches of one.
 """
 
 from __future__ import annotations
@@ -28,21 +29,23 @@ _ENUMERATION_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class _Packed:
-    """R lattices packed into one batch, longest first.
+    """R lattices packed into one batch of N recursion rows, longest first.
 
-    Row r of every (R, ...) array is region order[r]. Frame t of the
-    recursion covers rows [:rows[t]], the regions longer than t, and states
-    [:cols[t]]; the rest of each (T, R, S) array is padding.
+    Region k is input order[k]. It is row k of the recursion, or, in a
+    mirrored batch (N = 2R), rows 2k and 2k+1: the region, then the region
+    reversed in time and in its extended labels. Frame t of the recursion
+    covers rows [:rows[t]], those longer than t, and states [:cols[t]]; the
+    rest of each (T, N, S) array is padding.
     """
 
-    order: np.ndarray  # (R,) input index of each row
-    frames: np.ndarray  # (R,) T_r, descending
-    states: np.ndarray  # (R,) S_r = 2 U_r + 1
+    order: np.ndarray  # (R,) input index of each region
     starts: np.ndarray  # (R,) first row of each region in `lattice`
-    lattice: np.ndarray  # (sum T_r, V+1) the lattices end to end, in row order
-    ext: np.ndarray  # (R, S) extended labels, blank past S_r
-    skip_pen: np.ndarray  # (R, S) 0 where state s may be entered from s-2, else -inf
-    emit: np.ndarray  # (T, R, S) lattice[starts[r] + t, ext[r, s]], -inf past S_r
+    lattice: np.ndarray  # (sum T_r, V+1) the lattices end to end, in region order
+    frames: np.ndarray  # (N,) T_r, descending
+    states: np.ndarray  # (N,) S_r = 2 U_r + 1
+    ext: np.ndarray  # (N, S) extended labels, blank past S_r
+    skip_pen: np.ndarray  # (N, S) 0 where state s may be entered from s-2, else -inf
+    emit: np.ndarray  # (T, N, S) log-probability of ext[n, s] at frame t, -inf past S_r
     rows: list[int]  # (T,)
     cols: list[int]  # (T,)
 
@@ -60,8 +63,9 @@ def collapse_path(path, blank: int) -> list[int]:
     return out
 
 
-def _pack(lattices, targets) -> _Packed:
-    """Validate (lattice, target) pairs and pad them into one batch."""
+def _pack(lattices, targets, mirrored: bool = False) -> _Packed:
+    """Validate (lattice, target) pairs and pad them into one batch, each
+    followed by its reversal when `mirrored`."""
     lattices = [np.asarray(lattice, dtype=float) for lattice in lattices]
     targets = [np.asarray(target, dtype=int).reshape(-1) for target in targets]
     if len(lattices) != len(targets):
@@ -93,20 +97,30 @@ def _pack(lattices, targets) -> _Packed:
     ext = np.full((n_regions, n_states), blank)
     for row, i in enumerate(order):
         ext[row, 1 : states[row] : 2] = targets[i]
-    skip_pen = np.full((n_regions, n_states), NEG_INF)
-    skip_pen[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
     # Frames past a region's end read its last row; the recursion never uses them.
     t = np.minimum(np.arange(n_frames)[:, None], frames[None, :] - 1)
+    at = starts[None, :] + t
+    s = np.arange(n_states)
+    if mirrored:
+        # Row 2k+1 reads region k at frame T_k-1-t and state S_k-1-s.
+        back = np.where(s < states[:, None], states[:, None] - 1 - s, s)
+        ext = np.stack([ext, np.take_along_axis(ext, back, axis=1)], axis=1)
+        ext = ext.reshape(2 * n_regions, n_states)
+        at = np.stack([at, starts + frames - 1 - t], axis=2).reshape(n_frames, 2 * n_regions)
+        frames, states = np.repeat(frames, 2), np.repeat(states, 2)
+    skip_pen = np.full(ext.shape, NEG_INF)
+    skip_pen[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
     lattice = np.concatenate([lattices[i] for i in order])
-    emit = lattice[(starts[None, :] + t)[:, :, None], ext[None, :, :]]
-    emit[:, np.arange(n_states)[None, :] >= states[:, None]] = NEG_INF
+    # One flat index gathers faster than a pair of broadcast index arrays.
+    emit = lattice.ravel()[at[:, :, None] * n_classes + ext[None, :, :]]
+    emit[:, s[None, :] >= states[:, None]] = NEG_INF
     rows = (frames[None, :] > np.arange(n_frames)[:, None]).sum(axis=1)
     return _Packed(
         order=order,
-        frames=frames,
-        states=states,
         starts=starts,
         lattice=lattice,
+        frames=frames,
+        states=states,
         ext=ext,
         skip_pen=skip_pen,
         emit=emit,
@@ -116,14 +130,14 @@ def _pack(lattices, targets) -> _Packed:
 
 
 def _forward(p: _Packed) -> tuple[np.ndarray, np.ndarray]:
-    """Alpha, (T, R, S), and the log-probability of each region's target."""
-    n_frames, n_regions, n_states = p.emit.shape
+    """Alpha, (T, N, S), and the log-probability of each row's target."""
+    n_frames, n_rows, n_states = p.emit.shape
     # Two leading -inf columns stand in for the s-1 and s-2 predecessors of
     # states 0 and 1, so no frame needs a shifted copy.
-    alpha = np.full((n_frames, n_regions, n_states + 2), NEG_INF)
+    alpha = np.full((n_frames, n_rows, n_states + 2), NEG_INF)
     first = min(n_states, 2)
     alpha[0, :, 2 : 2 + first] = p.emit[0, :, :first]
-    skip = np.empty((n_regions, n_states))
+    skip = np.empty((n_rows, n_states))
     for t in range(1, n_frames):
         n, s = p.rows[t], p.cols[t]
         prev = alpha[t - 1, :n]
@@ -134,59 +148,38 @@ def _forward(p: _Packed) -> tuple[np.ndarray, np.ndarray]:
         np.logaddexp(out, sk, out=out)
         out += p.emit[t, :n, :s]
     alpha = alpha[:, :, 2:]
-    last, regions = p.frames - 1, np.arange(n_regions)
-    end = alpha[last, regions, p.states - 1]
-    before = alpha[last, regions, np.maximum(p.states - 2, 0)]
+    last, all_rows = p.frames - 1, np.arange(n_rows)
+    end = alpha[last, all_rows, p.states - 1]
+    before = alpha[last, all_rows, np.maximum(p.states - 2, 0)]
     total = np.where(p.states > 1, np.logaddexp(end, before), end)
     return alpha, total
 
 
-def _backward(p: _Packed) -> np.ndarray:
-    """Beta, (T, R, S): suffix log-probabilities excluding the emission at the
-    current frame. Each region starts at its own last frame."""
-    n_frames, n_regions, n_states = p.emit.shape
-    regions = np.arange(n_regions)
-    beta = np.full((n_frames, n_regions, n_states), NEG_INF)
-    beta[p.frames - 1, regions, p.states - 1] = 0.0
-    two = p.states > 1
-    beta[p.frames[two] - 1, regions[two], p.states[two] - 2] = 0.0
-    skip_pen = np.full_like(p.skip_pen, NEG_INF)
-    skip_pen[:, :-2] = p.skip_pen[:, 2:]  # whether s+2 may be entered from s
-    # Two trailing -inf columns stand in for the s+1 and s+2 successors of
-    # the last states; the active width only grows as t falls, so columns
-    # past it are never written.
-    nxt = np.full((n_regions, n_states + 2), NEG_INF)
-    skip = np.empty((n_regions, n_states))
-    for t in range(n_frames - 2, -1, -1):
-        # Regions whose last frame is t keep their initial row.
-        n, s = p.rows[t + 1], p.cols[t + 1]
-        out = beta[t, :n, :s]
-        sk = skip[:n, :s]
-        np.add(p.emit[t + 1, :n, :s], beta[t + 1, :n, :s], out=nxt[:n, :s])
-        np.logaddexp(nxt[:n, :s], nxt[:n, 1 : s + 1], out=out)
-        np.add(nxt[:n, 2 : s + 2], skip_pen[:n, :s], out=sk)
-        np.logaddexp(out, sk, out=out)
-    return beta
-
-
-def _grad(p: _Packed, alpha, beta, total) -> np.ndarray:
-    """softmax - gamma of every region, rows as in `p.lattice`; zero for
-    unreachable targets. One scatter adds every frame's state posteriors
-    into their classes, in ascending state order."""
+def _grad(p: _Packed, alpha, total) -> np.ndarray:
+    """softmax - gamma of every region of a mirrored batch, rows as in
+    `p.lattice`; zero for unreachable targets. Beta of region k at (t, s) is
+    the alpha of its reversal, row 2k+1, at (T_k-1-t, S_k-1-s) less the
+    emission at (t, s) (Graves et al., 2006). One scatter adds every frame's
+    state posteriors into their classes, in ascending state order."""
     n_frames, _, n_states = alpha.shape
+    frames, states, total = p.frames[::2], p.states[::2], total[::2]
     live = total != NEG_INF
     cells = (
-        (np.arange(n_frames)[:, None, None] < p.frames[None, :, None])
-        & (np.arange(n_states)[None, None, :] < p.states[None, :, None])
+        (np.arange(n_frames)[:, None, None] < frames[None, :, None])
+        & (np.arange(n_states)[None, None, :] < states[None, :, None])
         & live[None, :, None]
     )
-    t, r, s = np.nonzero(cells)
-    post = np.exp(alpha[t, r, s] + beta[t, r, s] - total[r])
+    t, k, s = np.nonzero(cells)
+    r = 2 * k
+    emit = p.emit[t, r, s]
+    beta = alpha[frames[k] - 1 - t, r + 1, states[k] - 1 - s] - emit
+    post = np.exp(alpha[t, r, s] + beta - total[k])
+    post[emit == NEG_INF] = 0.0  # no path crosses the cell; -inf - -inf is NaN
     n_classes = p.lattice.shape[1]
-    dest = (p.starts[r] + t) * n_classes + p.ext[r, s]
+    dest = (p.starts[k] + t) * n_classes + p.ext[r, s]
     gamma = np.bincount(dest, weights=post, minlength=p.lattice.size)
     grad = np.exp(p.lattice) - gamma.reshape(p.lattice.shape)
-    grad[~np.repeat(live, p.frames)] = 0.0
+    grad[~np.repeat(live, frames)] = 0.0
     return grad
 
 
@@ -207,23 +200,24 @@ def ctc_loss_and_grad_batch(lattices, targets) -> tuple[np.ndarray, list[np.ndar
     """ctc_loss_and_grad of every (lattice, target) pair in one padded
     forward-backward.
 
-    The R lattices, (T_r, V+1) each, are padded into one time-major batch,
-    longest first, so that frame t updates only the regions still running
-    (the padded layout of warp-ctc). Every region's loss and gradient are
-    bitwise those of a batch holding it alone. Returns the R losses and the
-    R gradients, in input order.
+    The R lattices, (T_r, V+1) each, and their time reversals are padded
+    into one time-major batch, longest first, so that frame t updates only
+    the regions still running (the padded layout of warp-ctc); one alpha
+    recursion over the 2R rows yields every alpha and every beta. Every
+    region's loss and gradient are bitwise those of a batch holding it
+    alone. Returns the R losses and the R gradients, in input order.
     """
     if len(lattices) == 0:
         return np.zeros(0), []
-    p = _pack(lattices, targets)
+    p = _pack(lattices, targets, mirrored=True)
     with np.errstate(invalid="ignore"):
         alpha, total = _forward(p)
-        grad = _grad(p, alpha, _backward(p), total)
-    losses = np.empty(total.size)
-    losses[p.order] = -total
-    grads: list = [None] * total.size
-    for row, i in enumerate(p.order):
-        grads[i] = grad[p.starts[row] : p.starts[row] + p.frames[row]]
+        grad = _grad(p, alpha, total)
+    losses = np.empty(p.order.size)
+    losses[p.order] = -total[::2]
+    grads: list = [None] * losses.size
+    for k, i in enumerate(p.order):
+        grads[i] = grad[p.starts[k] : p.starts[k] + p.frames[2 * k]]
     return losses, grads
 
 

@@ -205,6 +205,7 @@ INVALID_SETTINGS = [
     "weight_decay=inf",
     "grad_clip=inf",
     "sigma=inf",
+    "sigma=1e39",  # finite, but its features overflow the corpus file's float32
 ]
 
 

@@ -234,6 +234,33 @@ def test_corpus_ids_and_features_checked(tmp_path, tiny, how):
         load_bytes(tmp_path, "tiny.corpus", patched_corpus(tiny, how))
 
 
+def patched_params(tiny, name, how) -> bytes:
+    """A checkpoint or blank file with its first parameter at inf or its
+    last at NaN: float32 parameters after the header and the attention
+    flags, or float64 ones after the blank file's width."""
+    raw = bytearray(tiny[name])
+    if name == "tiny.blank":
+        fmt, first = "<d", 12
+    else:
+        fmt, first = "<f", 4 * (11 + struct.unpack_from("<I", raw, 28)[0])
+    offset, value = {
+        "inf_param": (first, float("inf")),
+        "nan_param": (len(raw) - struct.calcsize(fmt), float("nan")),
+    }[how]
+    struct.pack_into(fmt, raw, offset, value)
+    return bytes(raw)
+
+
+PARAM_VALUE_PATCHES = ["inf_param", "nan_param"]
+
+
+@pytest.mark.parametrize("how", PARAM_VALUE_PATCHES)
+@pytest.mark.parametrize("name", ["embedding.ckpt", "affine.ckpt", "tiny.blank"])
+def test_non_finite_parameters_rejected(tmp_path, tiny, name, how):
+    with pytest.raises(VersionMismatchError, match="non-finite"):
+        load_bytes(tmp_path, name, patched_params(tiny, name, how))
+
+
 def test_empty_corpus_is_empty_dataset_error(tmp_path, tiny):
     raw = bytearray(tiny["tiny.corpus"][:20])
     struct.pack_into("<I", raw, 8, 0)
@@ -244,6 +271,8 @@ def test_empty_corpus_is_empty_dataset_error(tmp_path, tiny):
 def malformed(tiny, name, how):
     if how in CORPUS_VALUE_PATCHES:
         return patched_corpus(tiny, how)
+    if how in PARAM_VALUE_PATCHES:
+        return patched_params(tiny, name, how)
     raw = tiny[name]
     if how == "truncated":
         return raw[: len(raw) // 2]
@@ -254,41 +283,36 @@ def malformed(tiny, name, how):
     return bytes(raw[:20] if how == "empty" else raw)
 
 
-@pytest.mark.parametrize(
-    "command, name, how, code, category",
-    [
-        ("pretrain", "tiny.corpus", "truncated", 4, "format"),
-        ("pretrain", "tiny.corpus", "trailing", 4, "format"),
-        ("pretrain", "tiny.corpus", "empty", 6, "data"),
-        ("analyze", "tiny.corpus", "empty", 6, "data"),
-        ("analyze", "tiny.corpus", "trailing", 4, "format"),
-        ("analyze", "embedding.ckpt", "trailing", 4, "format"),
-        ("finetune", "embedding.ckpt", "truncated", 4, "format"),
-        ("finetune", "tiny.blank", "trailing", 4, "format"),
-        ("finetune", "tiny.blank", "zeroed", 4, "format"),
-        ("export-blank", "embedding.ckpt", "trailing", 4, "format"),
-        ("export-blank", "affine.ckpt", "zeroed", 4, "format"),
-    ]
-    + [
-        (command, "tiny.corpus", how, 4, "format")
-        for command in ("pretrain", "finetune", "analyze")
-        for how in ("true_id_vocab", "noisy_id_99", "nan_feature")
-    ],
-)
-def test_cli_categorizes_malformed_files(
-    tmp_path, tiny, capsys, command, name, how, code, category
-):
-    files = {}
-    for key in LOADERS:
-        files[key] = tmp_path / key
-        files[key].write_bytes(malformed(tiny, key, how) if key == name else tiny[key])
-    out = tmp_path / "out"
-    out.mkdir()
-    argv = {
-        "pretrain": ["--corpus", files["tiny.corpus"], "--out", out],
+# Every way each file is malformed, and the (exit code, category) the CLI
+# reports for it. A corpus whose count reads 0 is an empty dataset, whatever
+# follows it. `zeroed` is no fault in embedding.ckpt, whose head kind is 0.
+FORMAT = (4, "format")
+PARAM_FILE_FAULTS = ["truncated", "trailing", "zeroed", "empty"] + PARAM_VALUE_PATCHES
+MALFORMED = {
+    "tiny.corpus": dict.fromkeys(["truncated", "trailing"] + CORPUS_VALUE_PATCHES, FORMAT)
+    | dict.fromkeys(["zeroed", "empty"], (6, "data")),
+    "embedding.ckpt": dict.fromkeys([how for how in PARAM_FILE_FAULTS if how != "zeroed"], FORMAT),
+    "affine.ckpt": dict.fromkeys(PARAM_FILE_FAULTS, FORMAT),
+    "tiny.blank": dict.fromkeys(PARAM_FILE_FAULTS, FORMAT),
+}
+
+# The files each command reads.
+READS = {
+    "pretrain": ["tiny.corpus"],
+    "finetune": ["embedding.ckpt", "tiny.corpus", "tiny.blank"],
+    "analyze": ["embedding.ckpt", "affine.ckpt", "tiny.corpus"],
+    "export-blank": ["embedding.ckpt", "affine.ckpt"],
+}
+
+
+def cli_argv(command, files, out, checkpoint="embedding.ckpt"):
+    """The arguments that run `command` on `files`, writing under `out`;
+    export-blank reads `checkpoint`."""
+    return [command] + [str(a) for a in {
+        "pretrain": ["--corpus", files["tiny.corpus"], "--steps", "1", "--out", out],
         "analyze": [
             "--ce-checkpoint", files["embedding.ckpt"],
-            "--ctc-checkpoint", files["embedding.ckpt"],
+            "--ctc-checkpoint", files["affine.ckpt"],
             "--eval-clean", files["tiny.corpus"],
             "--eval-jittered", files["tiny.corpus"],
             "--out", out,
@@ -300,8 +324,40 @@ def test_cli_categorizes_malformed_files(
             "--steps", "1",
             "--out", out,
         ],
-        "export-blank": ["--checkpoint", files[name], "--out", out / "blank.bin"],
-    }[command]
-    assert main([command] + [str(a) for a in argv]) == code
+        "export-blank": ["--checkpoint", files[checkpoint], "--out", out / "blank.bin"],
+    }[command]]
+
+
+def write_files(root, tiny, name=None, how=None):
+    """Every tiny file under `root`, `name` malformed as `how`."""
+    files = {key: root / key for key in LOADERS}
+    for key, path in files.items():
+        path.write_bytes(malformed(tiny, key, how) if key == name else tiny[key])
+    return files
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_cli_runs_on_the_tiny_files(tmp_path, tiny, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(cli_argv(command, write_files(tmp_path, tiny), out)) == 0
+
+
+@pytest.mark.parametrize(
+    "command, name, how, code, category",
+    [
+        (command, name, how, code, category)
+        for command, names in READS.items()
+        for name in names
+        for how, (code, category) in MALFORMED[name].items()
+    ],
+)
+def test_cli_categorizes_malformed_files(
+    tmp_path, tiny, capsys, command, name, how, code, category
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    files = write_files(tmp_path, tiny, name, how)
+    assert main(cli_argv(command, files, out, checkpoint=name)) == code
     assert capsys.readouterr().err.startswith(f"error[{category}]")
     assert list(out.iterdir()) == []

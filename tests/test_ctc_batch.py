@@ -117,17 +117,28 @@ def assert_matches_reference(lattices, targets):
         np.testing.assert_allclose(grad, ref_grad, rtol=RTOL, atol=RTOL)
 
 
+def with_zero_classes(rng, lattice, share):
+    """`lattice` with about `share` of its cells at probability zero (-inf),
+    renormalized; every frame keeps at least one class."""
+    frames, classes = lattice.shape
+    zero = rng.random(lattice.shape) < share
+    zero[np.arange(frames), rng.integers(classes, size=frames)] = False
+    return log_softmax(np.where(zero, NEG_INF, lattice), axis=1)
+
+
 @st.composite
-def batches(draw, max_frames=8):
+def batches(draw, max_frames=8, zero_share=0.0):
     """R lattices of mixed lengths over one class count, with any targets
-    that fit: empty, as long as the lattice, with adjacent repeats."""
+    that fit: empty, as long as the lattice, with adjacent repeats. With
+    `zero_share`, about that share of the cells are -inf."""
     vocab = draw(st.integers(1, 4))
     regions = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lattices, targets = [], []
     for _ in range(regions):
         frames = draw(st.integers(1, max_frames))
-        lattices.append(random_lattice(rng, frames, vocab))
+        lattice = random_lattice(rng, frames, vocab)
+        lattices.append(with_zero_classes(rng, lattice, zero_share) if zero_share else lattice)
         targets.append(draw(st.lists(st.integers(0, vocab - 1), max_size=frames)))
     return lattices, targets
 
@@ -136,6 +147,11 @@ class TestAgainstReference:
     @settings(max_examples=200, deadline=None)
     @given(batches())
     def test_random_batches(self, batch):
+        assert_matches_reference(*batch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches(zero_share=0.2))
+    def test_random_batches_with_zero_probability_classes(self, batch):
         assert_matches_reference(*batch)
 
     @settings(max_examples=100, deadline=None)
