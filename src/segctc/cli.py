@@ -304,7 +304,7 @@ def cmd_export_blank(checkpoint_path, out_path) -> None:
     """Extract blank-related parameters from a checkpoint into a small file."""
     model = load_checkpoint(checkpoint_path)
     if not isinstance(model.head, EmbeddingHead):
-        raise ConfigError("checkpoint has no embedding head to extract blank parameters from")
+        raise DimensionMismatchError("checkpoint has no embedding head to take the blank from")
     write_blank_params(extract_blank_params(model.head), out_path)
 
 

@@ -21,12 +21,13 @@ utterance's own pad, h = min(w, T_max - 1); both are cached per utterance
 length. Every slot that would reach into a neighbour is -inf, its weight
 exactly 0, so a finite neighbour adds exactly 0 (a non-finite one makes its
 neighbours non-finite too, through 0 * inf). Dense attention runs per
-utterance inside the pack. Each weight gradient is formed per utterance, on
-that utterance's rows, so it is bitwise the gradient of a pack of one
-wherever BLAS picks the same kernel for both shapes. `unpack` splits a
-packed array by utterance and pack_backward takes one logit gradient per
-utterance, so the layout is known here alone; model_forward and
-model_backward are the pack of one.
+utterance inside the pack. pack_backward returns the gradient of the pack's
+summed loss: each weight gradient is formed per utterance, on that
+utterance's rows, and the terms are added in pack order, so the sum is
+bitwise that of the utterances' own gradients wherever BLAS picks the same
+kernel for both shapes. `unpack` splits a packed array by utterance and
+pack_backward takes one logit gradient per utterance, so the layout is known
+here alone; model_forward and model_backward are the pack of one.
 
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
@@ -65,8 +66,9 @@ Blank-parameter file (version 1, little-endian):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import accumulate
+from operator import iadd
 
 import numpy as np
 
@@ -207,6 +209,11 @@ def init_model(
     """
     if nonlin not in NONLIN_CODES:
         raise ValueError(f"unknown nonlinearity {nonlin!r}")
+    # A checkpoint stores both as u32 and refuses an odd n_pos on load.
+    if n_pos < 0 or n_pos % 2:
+        raise ValueError(f"n_pos must be even and >= 0, got {n_pos}")
+    if attn_window < 0:
+        raise ValueError(f"attn_window must be >= 0, got {attn_window}")
     if isinstance(attention, bool):
         attention = [attention] * n_blocks
     attention = [bool(a) for a in attention]
@@ -295,14 +302,14 @@ def _slices(lengths: tuple[int, ...]) -> list[slice]:
     return [slice(end - frames, end) for frames, end in zip(lengths, accumulate(lengths))]
 
 
-def _per_utterance_products(a: np.ndarray, b: np.ndarray, slices) -> list[np.ndarray]:
-    """a[s].T @ b[s] for the rows s of every utterance."""
-    return [a[s].T @ b[s] for s in slices]
+def _summed_products(a: np.ndarray, b: np.ndarray, slices) -> np.ndarray:
+    """The sum of a[s].T @ b[s] over the rows s of every utterance, in pack order."""
+    return reduce(iadd, (a[s].T @ b[s] for s in slices))
 
 
-def _per_utterance_sums(a: np.ndarray, slices) -> list[np.ndarray]:
-    """a[s].sum(axis=0) for the rows s of every utterance."""
-    return [a[s].sum(axis=0) for s in slices]
+def _summed_row_sums(a: np.ndarray, slices) -> np.ndarray:
+    """The sum of a[s].sum(axis=0) over the rows s of every utterance, in pack order."""
+    return reduce(iadd, (a[s].sum(axis=0) for s in slices))
 
 
 def _strided_view(padded: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
@@ -468,8 +475,8 @@ def encoder_forward(features, params: EncoderParams) -> np.ndarray:
 
 
 def _encoder_backward(dh, params: EncoderParams, cache):
-    """Per-utterance parameter gradients of the pack in `cache` (each value a
-    list in pack order) and the (sum T, d) input-frame gradient."""
+    """Parameter gradients of the pack in `cache`, each summed over its
+    utterances in pack order, and the (sum T, d) input-frame gradient."""
     lengths, slices = cache["lengths"], cache["slices"]
     grads = {}
     scale = 1.0 / np.sqrt(params.model_dim)
@@ -483,18 +490,18 @@ def _encoder_backward(dh, params: EncoderParams, cache):
                 dq, dk, dw = _banded_attention_backward(dh, rec, half, scale)
             else:
                 dq, dk, dw = _dense_attention_backward(dh, rec, slices, scale)
-            grads[f"encoder.blocks.{i}.attention.wq"] = _per_utterance_products(dq, v, slices)
-            grads[f"encoder.blocks.{i}.attention.wk"] = _per_utterance_products(dk, v, slices)
-            grads[f"encoder.blocks.{i}.attention.wv"] = _per_utterance_products(dw, v, slices)
+            grads[f"encoder.blocks.{i}.attention.wq"] = _summed_products(dq, v, slices)
+            grads[f"encoder.blocks.{i}.attention.wk"] = _summed_products(dk, v, slices)
+            grads[f"encoder.blocks.{i}.attention.wv"] = _summed_products(dw, v, slices)
             dv = dh + dq @ block.attention.wq + dk @ block.attention.wk + dw @ block.attention.wv
         else:
             dv = dh
         du = dv * _nonlin_deriv(rec["u"], rec["v"], params.nonlin)
-        grads[f"encoder.blocks.{i}.weight"] = _per_utterance_products(du, rec["h_in"], slices)
-        grads[f"encoder.blocks.{i}.bias"] = _per_utterance_sums(du, slices)
+        grads[f"encoder.blocks.{i}.weight"] = _summed_products(du, rec["h_in"], slices)
+        grads[f"encoder.blocks.{i}.bias"] = _summed_row_sums(du, slices)
         dh = du @ block.weight
-    grads["encoder.input_weight"] = _per_utterance_products(dh, cache["xin"], slices)
-    grads["encoder.input_bias"] = _per_utterance_sums(dh, slices)
+    grads["encoder.input_weight"] = _summed_products(dh, cache["xin"], slices)
+    grads["encoder.input_bias"] = _summed_row_sums(dh, slices)
     dxin = dh @ params.input_weight
     return grads, dxin[:, : params.feature_dim]
 
@@ -534,10 +541,12 @@ def unpack(packed: np.ndarray, cache) -> list[np.ndarray]:
     return [packed[s] for s in cache["slices"]]
 
 
-def pack_backward(model: Model, cache, dlogits, masked_rows) -> list[dict[str, np.ndarray]]:
-    """Parameter gradients of every utterance of a pack_forward cache, in
-    pack order, for the per-utterance (T_i, V+1) logit gradients `dlogits`.
+def pack_backward(model: Model, cache, dlogits, masked_rows) -> dict[str, np.ndarray]:
+    """Parameter gradients of the summed loss of the utterances of a
+    pack_forward cache, for their (T_i, V+1) logit gradients `dlogits`.
 
+    Each gradient adds one term per utterance, formed on that utterance's
+    rows, in pack order; a pack of one is its utterance alone.
     `masked_rows[i]` are utterance i's frame indices whose input was the mask
     embedding (or None); their input gradients accumulate into the mask
     embedding's gradient.
@@ -550,28 +559,22 @@ def pack_backward(model: Model, cache, dlogits, masked_rows) -> list[dict[str, n
         proj = hidden @ head.proj_weight.T + head.proj_bias
         dproj = dlogits @ head.embeddings
         grads = {
-            "head.embeddings": _per_utterance_products(dlogits, proj, slices),
-            "head.proj_weight": _per_utterance_products(dproj, hidden, slices),
-            "head.proj_bias": _per_utterance_sums(dproj, slices),
+            "head.embeddings": _summed_products(dlogits, proj, slices),
+            "head.proj_weight": _summed_products(dproj, hidden, slices),
+            "head.proj_bias": _summed_row_sums(dproj, slices),
         }
         dh = dproj @ head.proj_weight
     else:
         grads = {
-            "head.weight": _per_utterance_products(dlogits, hidden, slices),
-            "head.bias": _per_utterance_sums(dlogits, slices),
+            "head.weight": _summed_products(dlogits, hidden, slices),
+            "head.bias": _summed_row_sums(dlogits, slices),
         }
         dh = dlogits @ head.weight
     encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
     grads.update(encoder_grads)
-    out = []
-    for i, (rows, frames) in enumerate(zip(slices, masked_rows)):
-        item = {name: g[i] for name, g in grads.items()}
-        if frames is not None and len(frames) > 0:
-            item["encoder.mask_embedding"] = dx[rows][frames].sum(axis=0)
-        else:
-            item["encoder.mask_embedding"] = np.zeros_like(model.encoder.mask_embedding)
-        out.append(item)
-    return out
+    masked = (dx[s][rows].sum(axis=0) for s, rows in zip(slices, masked_rows) if rows is not None)
+    grads["encoder.mask_embedding"] = reduce(iadd, masked, np.zeros(model.encoder.feature_dim))
+    return grads
 
 
 def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
@@ -586,7 +589,7 @@ def model_logits(model: Model, features) -> np.ndarray:
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:
     """Parameter gradients of one utterance for a loss whose logit gradient
     is `dlogits`; `masked_rows` as in pack_backward."""
-    return pack_backward(model, cache, [dlogits], [masked_rows])[0]
+    return pack_backward(model, cache, [dlogits], [masked_rows])
 
 
 def named_params(model: Model) -> list[tuple[str, np.ndarray]]:

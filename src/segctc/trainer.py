@@ -3,9 +3,9 @@
 Every random draw is keyed by (seed, stream, step[, utterance]) so runs are
 bit-reproducible. A step lays its whole batch end to end along time and runs
 one packed forward, computes the losses of all its utterances with one batched
-CTC call, then runs one packed backward that forms each utterance's gradients
-on its own rows; they are reduced in sorted utterance order to fix the
-summation order.
+CTC call, then runs one packed backward, which returns the gradient of the
+batch's summed loss, reduced in sorted utterance order (segctc.model); the
+step divides it by the batch size.
 
 Metrics log format: one line per step, tab-separated
     step  ce  ctc  combined  alpha
@@ -141,35 +141,32 @@ def format_metrics(metrics) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _pretrain_batch(model: Model, batch, alpha: float) -> list[tuple[LossBreakdown, dict]]:
-    """Masked joint loss and parameter gradients of every (features, ids,
-    spec) item, in item order: one packed forward, one joint-loss call over
-    every masked region, then one packed backward."""
+def _pretrain_batch(model: Model, batch, alpha: float) -> tuple[list[LossBreakdown], dict]:
+    """Masked joint loss of every (features, ids, spec) item, in item order,
+    and the parameter gradients of their sum: one packed forward, one
+    joint-loss call over every masked region, then one packed backward."""
     mask_embedding = model.encoder.mask_embedding
     masked = [apply_mask(features, spec, mask_embedding) for features, _, spec in batch]
     logits, cache = pack_forward(model, masked)
     log_probs = unpack(log_softmax(logits, axis=1), cache)
-    losses = joint_loss_batch(
-        [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)], alpha
-    )
-    dlogits = [grad for _, grad in losses]
+    items = [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)]
+    breakdowns, dlogits = zip(*joint_loss_batch(items, alpha))
     masked_rows = [np.flatnonzero(spec.frame_mask()) for _, _, spec in batch]
-    grads = pack_backward(model, cache, dlogits, masked_rows)
-    return [(breakdown, g) for (breakdown, _), g in zip(losses, grads)]
+    return list(breakdowns), pack_backward(model, cache, dlogits, masked_rows)
 
 
 def pretrain_loss_and_grads(
     model: Model, features, ids, spec, alpha: float
 ) -> tuple[LossBreakdown, dict]:
     """Masked joint loss of one utterance plus gradients for every parameter."""
-    (result,) = _pretrain_batch(model, [(features, ids, spec)], alpha)
-    return result
+    (breakdown,), grads = _pretrain_batch(model, [(features, ids, spec)], alpha)
+    return breakdown, grads
 
 
-def _finetune_batch(model: Model, batch) -> list[tuple[float, dict]]:
-    """Token-normalized full-utterance CTC loss and parameter gradients of
-    every (features, label_ids) item, in item order: one packed forward, one
-    CTC call over the batch and one packed backward."""
+def _finetune_batch(model: Model, batch) -> tuple[list[float], dict]:
+    """Token-normalized full-utterance CTC loss of every (features,
+    label_ids) item, in item order, and the parameter gradients of their sum:
+    one packed forward, one CTC call over the batch and one packed backward."""
     logits, cache = pack_forward(model, [features for features, _ in batch])
     log_probs = unpack(log_softmax(logits, axis=1), cache)
     targets = [dedup(label_ids) for _, label_ids in batch]
@@ -177,13 +174,13 @@ def _finetune_batch(model: Model, batch) -> list[tuple[float, dict]]:
     tokens = [max(1, target.size) for target in targets]
     dlogits = [grad / n for grad, n in zip(dlogits, tokens)]
     grads = pack_backward(model, cache, dlogits, [None] * len(batch))
-    return [(float(loss) / n, g) for loss, n, g in zip(losses, tokens, grads)]
+    return [float(loss) / n for loss, n in zip(losses, tokens)], grads
 
 
 def finetune_loss_and_grads(model: Model, features, label_ids) -> tuple[float, dict]:
     """Token-normalized full-utterance CTC loss (no masking) plus gradients."""
-    (result,) = _finetune_batch(model, [(features, label_ids)])
-    return result
+    (loss,), grads = _finetune_batch(model, [(features, label_ids)])
+    return loss, grads
 
 
 def _clip_grads(grads: dict, max_norm: float) -> None:
@@ -227,8 +224,8 @@ def _non_finite(step, loss, grad_sum, results, indices, alpha, names) -> NonFini
 
 
 def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable):
-    """`batch_fn(indices, step, alpha)` returns (ce, ctc, combined, grads) of
-    each drawn utterance, in index order."""
+    """`batch_fn(indices, step, alpha)` returns the (ce, ctc, combined, grads)
+    of the drawn utterances, each summed over them in index order."""
     if not corpus.utterances:
         raise ConfigError("corpus is empty")
     n = len(corpus.utterances)
@@ -238,30 +235,18 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
         batch_rng = seeded_rng(cfg.seed, _BATCH_STREAM, step)
         size = min(cfg.batch_size, n)
         indices = np.sort(batch_rng.choice(n, size=size, replace=False)).tolist()
-        grad_total = {name: np.zeros_like(p) for name, p in trainable}
-        ce_sum = ctc_sum = combined_sum = 0.0
         alpha = effective_alpha(step, cfg.mode)
-        results = batch_fn(indices, step, alpha)
-        for ce, ctc, combined, grads in results:
-            ce_sum += ce
-            ctc_sum += ctc
-            combined_sum += combined
-            for name in grad_total:
-                grad_total[name] += grads[name]
-        for name in grad_total:
-            grad_total[name] /= size
-        ce_mean, ctc_mean = ce_sum / size, ctc_sum / size
-        combined_mean = combined_sum / size
+        ce_sum, ctc_sum, combined_sum, grads = batch_fn(indices, step, alpha)
+        grads = {name: grads[name] / size for name, _ in trainable}
+        ce_mean, ctc_mean, combined_mean = ce_sum / size, ctc_sum / size, combined_sum / size
         # A NaN frame no loss term scores can still reach the gradients
         # through 0 * NaN; AdamW would then poison every parameter.
-        grad_sum = sum(float(g.sum()) for g in grad_total.values())
+        grad_sum = sum(float(g.sum()) for g in grads.values())
         if not (np.isfinite(combined_mean) and np.isfinite(grad_sum)):
-            alone = [batch_fn([idx], step, alpha)[0] for idx in indices]
-            raise _non_finite(
-                step, combined_mean, grad_sum, alone, indices, alpha, list(grad_total)
-            )
+            alone = [batch_fn([idx], step, alpha) for idx in indices]
+            raise _non_finite(step, combined_mean, grad_sum, alone, indices, alpha, list(grads))
         if cfg.grad_clip > 0.0:
-            _clip_grads(grad_total, cfg.grad_clip)
+            _clip_grads(grads, cfg.grad_clip)
         hyper = AdamHyper(
             lr=learning_rate(step, cfg),
             beta1=cfg.adam_beta1,
@@ -269,7 +254,7 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
             eps=cfg.adam_eps,
             weight_decay=cfg.weight_decay,
         )
-        adam_step(trainable, grad_total, state, hyper)
+        adam_step(trainable, grads, state, hyper)
         metrics.append(StepMetrics(step, ce_mean, ctc_mean, combined_mean, alpha))
     if log_path is not None:
         with open(log_path, "w") as fh:
@@ -296,7 +281,9 @@ def train(
             mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
             spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
             batch.append((utt.features, utt.noisy_ids, spec))
-        return [(b.ce, b.ctc, b.combined, g) for b, g in _pretrain_batch(model, batch, alpha)]
+        losses, grads = _pretrain_batch(model, batch, alpha)
+        sums = (sum(getattr(b, term) for b in losses) for term in ("ce", "ctc", "combined"))
+        return (*sums, grads)
 
     return _run_loop(
         corpus, cfg, model, batch_fn, log_path, checkpoint_path, named_params(model)
@@ -319,11 +306,9 @@ def finetune(
     """
 
     def batch_fn(indices, step: int, alpha: float):
-        batch = [
-            (corpus.utterances[idx].features, corpus.utterances[idx].true_ids)
-            for idx in indices
-        ]
-        return [(0.0, loss, loss, g) for loss, g in _finetune_batch(model, batch)]
+        utts = [corpus.utterances[idx] for idx in indices]
+        losses, grads = _finetune_batch(model, [(utt.features, utt.true_ids) for utt in utts])
+        return 0.0, sum(losses), sum(losses), grads
 
     trainable = named_params(model)
     if freeze_encoder:

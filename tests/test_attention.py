@@ -141,7 +141,7 @@ def test_band_equals_dense_masked_reference(data):
     assert_close(dx, ref_grads.pop("_dx"))
     assert grads.keys() == ref_grads.keys()
     for name, ref in ref_grads.items():
-        assert_close(grads[name][0], ref)
+        assert_close(grads[name], ref)
 
 
 def cache_attention(model, x):
@@ -215,13 +215,14 @@ def pack_model(seed, window, flags, nonlin, affine):
 @given(data=st.data())
 def test_pack_equals_per_utterance(data):
     """One packed forward and backward over utterances of mixed lengths gives
-    each utterance's logits and gradients of the batch-of-one path. Bitwise
-    when every utterance has the pack's band (always when the lengths are
-    equal) and more than one frame; else to RTOL, since a wider band changes
-    how numpy groups each row's sums, and BLAS multiplies a one-row matrix by
-    another kernel than a taller one. (BLAS may also switch kernels with a
-    product's size; every product here is small enough to stay on one.) The
-    encoder also matches the dense reference to RTOL."""
+    each utterance's logits of the batch-of-one path, and the pack-order sum
+    of their gradients. Bitwise when every utterance has the pack's band
+    (always when the lengths are equal) and more than one frame; else to
+    RTOL, since a wider band changes how numpy groups each row's sums, and
+    BLAS multiplies a one-row matrix by another kernel than a taller one.
+    (BLAS may also switch kernels with a product's size; every product here
+    is small enough to stay on one.) The encoder also matches the sum of the
+    dense reference gradients to RTOL."""
     lengths = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=5), label="lengths")
     if data.draw(st.booleans(), label="equal lengths"):
         lengths = [lengths[0]] * len(lengths)
@@ -245,14 +246,15 @@ def test_pack_equals_per_utterance(data):
     same_band = window == 0 or all(min(window, frames - 1) == half for frames in lengths)
     exact = same_band and (min(lengths) > 1 or len(lengths) == 1)
     check = np.testing.assert_array_equal if exact else assert_close
-    pieces = unpack(logits, cache)
-    for x, got_logits, dl, rows, got in zip(features, pieces, dlogits, masked_rows, grads):
+    want = {}
+    for x, got_logits, dl, rows in zip(features, unpack(logits, cache), dlogits, masked_rows):
         want_logits, one = model_forward(model, x)
         check(got_logits, want_logits)
-        want = model_backward(model, one, dl, masked_rows=rows)
-        assert got.keys() == want.keys()
-        for name in want:
-            check(got[name], want[name])
+        for name, grad in model_backward(model, one, dl, masked_rows=rows).items():
+            want[name] = want.get(name, 0) + grad
+    assert grads.keys() == want.keys()
+    for name in want:
+        check(grads[name], want[name])
 
     if window == 0:
         return
@@ -260,7 +262,8 @@ def test_pack_equals_per_utterance(data):
     hidden, cache = _encoder_forward(features, model.encoder)
     encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
     first = 0
-    for i, x in enumerate(features):
+    ref_sums = {}
+    for x in features:
         rows = slice(first, first + x.shape[0])
         first += x.shape[0]
         ref_hidden, ref_cache = reference_forward(x, model.encoder)
@@ -268,5 +271,8 @@ def test_pack_equals_per_utterance(data):
         ref_grads = reference_backward(dh[rows], model.encoder, ref_cache)
         assert_close(dx[rows], ref_grads.pop("_dx"))
         for name, ref in ref_grads.items():
-            assert_close(encoder_grads[name][i], ref)
+            ref_sums[name] = ref_sums.get(name, 0) + ref
+    assert encoder_grads.keys() == ref_sums.keys()
+    for name, ref in ref_sums.items():
+        assert_close(encoder_grads[name], ref)
 

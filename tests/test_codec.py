@@ -343,6 +343,17 @@ def test_cli_runs_on_the_tiny_files(tmp_path, tiny, command):
     assert main(cli_argv(command, write_files(tmp_path, tiny), out)) == 0
 
 
+def test_export_blank_from_affine_head_is_data_error(tmp_path, tiny, capsys):
+    """A well-formed checkpoint of the wrong kind: export-blank reads no
+    configuration, so the file, not a setting, is at fault."""
+    out = tmp_path / "out"
+    out.mkdir()
+    files = write_files(tmp_path, tiny)
+    assert main(cli_argv("export-blank", files, out, checkpoint="affine.ckpt")) == 6
+    assert capsys.readouterr().err.startswith("error[data]")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, name, how, code, category",
     [

@@ -300,3 +300,9 @@ class TestPositionChannels:
     def test_odd_channel_count_rejected(self):
         with pytest.raises(ValueError):
             position_channels(10, 3)
+        # init_model refuses, before any draw, a model no checkpoint can hold
+        for shape in (dict(n_pos=3), dict(n_pos=-2), dict(attn_window=-1)):
+            rng = seeded_rng(0, 50)
+            with pytest.raises(ValueError, match="n_pos|attn_window"):
+                init_model(3, 4, 3, 3, 2, rng, **shape)
+            assert rng.random() == seeded_rng(0, 50).random()

@@ -28,6 +28,7 @@ from segctc import (
     seeded_rng,
     train,
 )
+from segctc.cli import ExperimentConfig
 from segctc.model import Model, _band_pad, _position_table
 from segctc.trainer import _BATCH_STREAM, _MASK_STREAM
 
@@ -338,6 +339,43 @@ class TestBatchedStep:
 
         expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
         model, metrics = finetune(corpus, cfg, fresh())
+        assert metrics == expected
+        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_default_shape_is_bitwise_per_utterance_loop(self):
+        # At T = 100 and d_model 32 every product of a pack runs on the same
+        # BLAS kernel as its pack of one, so the steps match bit for bit.
+        exp = ExperimentConfig(utterances=12, steps=3)
+        corpus = gen_corpus(exp.corpus_config())
+        cfg = exp.train_config()
+
+        def fresh():
+            return init_model(
+                feature_dim=exp.feature_dim,
+                model_dim=exp.d_model,
+                embed_dim=exp.d_embed,
+                vocab=exp.vocab,
+                n_blocks=exp.layers,
+                rng=seeded_rng(exp.seed, 2),
+                nonlin=exp.nonlin,
+                n_pos=exp.n_pos,
+                attn_window=exp.attn_window,
+            )
+
+        loop_model = fresh()
+
+        def loss_and_grads(idx, step, alpha):
+            utt = corpus.utterances[idx]
+            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
+            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
+            b, grads = pretrain_loss_and_grads(
+                loop_model, utt.features, utt.noisy_ids, spec, alpha
+            )
+            return b.ce, b.ctc, b.combined, grads
+
+        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        model, metrics = train(corpus, cfg, fresh())
         assert metrics == expected
         for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
             np.testing.assert_array_equal(got, want)
