@@ -6,12 +6,13 @@ column (index V). Targets are integer sequences over [0, V), never blank.
 The loss is computed with the extended-label forward recursion (labels
 interleaved with blanks, 2U+1 states), entirely in the log domain.
 
-Every loss goes through one batched kernel: R lattices of different lengths
-are padded into one time-major batch and share a single alpha recursion over
-the longest lattice, so the Python loop over frames runs once per batch, not
-once per lattice. There is no beta recursion: beta is the alpha of the
-time-reversed region, which rides in the same batch when a gradient is
-wanted. The one-lattice functions are batches of one.
+Every loss goes through one kernel, `ctc_loss_packed`. It works on a pack:
+(N, V+1) rows with each lattice a row range, a region. The regions are
+gathered into one time-major batch that shares a single alpha recursion, so
+the Python loop over frames runs once per batch, not once per region. There
+is no beta recursion: beta is the alpha of the time-reversed region, which
+rides in the same batch when a gradient is wanted. The lattice-list and
+one-lattice functions join their lattices into a pack.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _ENUMERATION_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class _Packed:
-    """R lattices packed into one batch of N recursion rows, longest first.
+    """R regions of a pack padded into one batch of N recursion rows, longest first.
 
     Region k is input order[k]. It is row k of the recursion, or, in a
     mirrored batch (N = 2R), rows 2k and 2k+1: the region, then the region
@@ -39,8 +40,8 @@ class _Packed:
     """
 
     order: np.ndarray  # (R,) input index of each region
-    starts: np.ndarray  # (R,) first row of each region in `lattice`
-    lattice: np.ndarray  # (sum T_r, V+1) the lattices end to end, in region order
+    starts: np.ndarray  # (R,) first row of each region in `emissions`
+    emissions: np.ndarray  # (rows, V+1) the whole pack
     frames: np.ndarray  # (N,) T_r, descending
     states: np.ndarray  # (N,) S_r = 2 U_r + 1
     ext: np.ndarray  # (N, S) extended labels, blank past S_r
@@ -63,36 +64,24 @@ def collapse_path(path, blank: int) -> list[int]:
     return out
 
 
-def _pack(lattices, targets, mirrored: bool = False) -> _Packed:
-    """Validate (lattice, target) pairs and pad them into one batch, each
-    followed by its reversal when `mirrored`."""
-    lattices = [np.asarray(lattice, dtype=float) for lattice in lattices]
-    targets = [np.asarray(target, dtype=int).reshape(-1) for target in targets]
-    if len(lattices) != len(targets):
-        raise ValueError(f"{len(lattices)} lattices but {len(targets)} targets")
-    for lattice, target in zip(lattices, targets):
-        if lattice.ndim != 2 or lattice.shape[1] < 2 or lattice.shape[0] < 1:
-            raise ValueError(
-                f"lattice must be (T, V+1) with T >= 1 and V >= 1, got {lattice.shape}"
-            )
-        if target.size > lattice.shape[0]:
-            raise InfeasibleTargetError(
-                f"target of length {target.size} cannot fit in {lattice.shape[0]} frames"
-            )
-    classes = {lattice.shape[1] for lattice in lattices}
-    if len(classes) > 1:
-        raise ValueError(f"lattices of one batch must share V+1, got {sorted(classes)}")
-    n_classes = classes.pop()
+def _pack(emissions, regions, targets, mirrored: bool) -> _Packed:
+    """Check each region's target and pad the regions of `emissions` into
+    one batch, each followed by its reversal when `mirrored`."""
+    n_classes = emissions.shape[1]
     blank = n_classes - 1
+    lengths = regions[:, 1] - regions[:, 0]
+    for target, frames in zip(targets, lengths):
+        if target.size > frames:
+            raise InfeasibleTargetError(
+                f"target of length {target.size} cannot fit in {frames} frames"
+            )
     labels = np.concatenate(targets)
     if labels.size and (labels.min() < 0 or labels.max() >= blank):
         raise ValueError("target labels must lie in [0, V)")
-
-    lengths = np.array([lattice.shape[0] for lattice in lattices])
     order = np.argsort(-lengths, kind="stable")
     frames = lengths[order]
+    starts = regions[order, 0]
     states = np.array([2 * targets[i].size + 1 for i in order])
-    starts = np.concatenate(([0], np.cumsum(frames)[:-1]))
     n_frames, n_regions, n_states = int(frames[0]), order.size, int(states.max())
     ext = np.full((n_regions, n_states), blank)
     for row, i in enumerate(order):
@@ -110,15 +99,14 @@ def _pack(lattices, targets, mirrored: bool = False) -> _Packed:
         frames, states = np.repeat(frames, 2), np.repeat(states, 2)
     skip_pen = np.full(ext.shape, NEG_INF)
     skip_pen[:, 2:][(ext[:, 2:] != blank) & (ext[:, 2:] != ext[:, :-2])] = 0.0
-    lattice = np.concatenate([lattices[i] for i in order])
     # One flat index gathers faster than a pair of broadcast index arrays.
-    emit = lattice.ravel()[at[:, :, None] * n_classes + ext[None, :, :]]
+    emit = emissions.ravel()[at[:, :, None] * n_classes + ext[None, :, :]]
     emit[:, s[None, :] >= states[:, None]] = NEG_INF
     rows = (frames[None, :] > np.arange(n_frames)[:, None]).sum(axis=1)
     return _Packed(
         order=order,
         starts=starts,
-        lattice=lattice,
+        emissions=emissions,
         frames=frames,
         states=states,
         ext=ext,
@@ -156,11 +144,12 @@ def _forward(p: _Packed) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grad(p: _Packed, alpha, total) -> np.ndarray:
-    """softmax - gamma of every region of a mirrored batch, rows as in
-    `p.lattice`; zero for unreachable targets. Beta of region k at (t, s) is
-    the alpha of its reversal, row 2k+1, at (T_k-1-t, S_k-1-s) less the
-    emission at (t, s) (Graves et al., 2006). One scatter adds every frame's
-    state posteriors into their classes, in ascending state order."""
+    """softmax - gamma of a mirrored batch, laid out like `p.emissions`: on
+    the rows of every region with a reachable target, and exactly 0 on all
+    other rows. Beta of region k at (t, s) is the alpha of its reversal, row
+    2k+1, at (T_k-1-t, S_k-1-s) less the emission at (t, s) (Graves et al.,
+    2006). One scatter adds every frame's state posteriors into their
+    classes, in ascending state order."""
     n_frames, _, n_states = alpha.shape
     frames, states, total = p.frames[::2], p.states[::2], total[::2]
     live = total != NEG_INF
@@ -175,12 +164,72 @@ def _grad(p: _Packed, alpha, total) -> np.ndarray:
     beta = alpha[frames[k] - 1 - t, r + 1, states[k] - 1 - s] - emit
     post = np.exp(alpha[t, r, s] + beta - total[k])
     post[emit == NEG_INF] = 0.0  # no path crosses the cell; -inf - -inf is NaN
-    n_classes = p.lattice.shape[1]
+    n_classes = p.emissions.shape[1]
     dest = (p.starts[k] + t) * n_classes + p.ext[r, s]
-    gamma = np.bincount(dest, weights=post, minlength=p.lattice.size)
-    grad = np.exp(p.lattice) - gamma.reshape(p.lattice.shape)
-    grad[~np.repeat(live, frames)] = 0.0
+    gamma = np.bincount(dest, weights=post, minlength=p.emissions.size)
+    gamma = gamma.reshape(p.emissions.shape)
+    # The pack row of every frame of every live region, region by region.
+    frames = frames[live]
+    rows = np.repeat(p.starts[live] - np.cumsum(frames) + frames, frames)
+    rows += np.arange(rows.size)
+    grad = np.zeros_like(p.emissions)
+    grad[rows] = np.exp(p.emissions[rows]) - gamma[rows]
     return grad
+
+
+def ctc_loss_packed(emissions, regions, targets, with_grad: bool):
+    """ctc_loss of every region of a pack against its target and, with
+    `with_grad`, the pack gradient of their sum (else None).
+
+    Region r is the lattice emissions[start:end], (start, end) = regions[r],
+    of the (N, V+1) pack; regions are non-empty, disjoint, in any order. They
+    are padded into one batch, longest first, so that frame t updates only
+    the regions still running (the padded layout of warp-ctc). Each region's
+    loss and gradient rows are bitwise those of a pack holding it alone. The
+    gradient is softmax - gamma on the rows of each region and exactly 0 on
+    every other row, including those of a region whose target is unreachable.
+    """
+    emissions = np.asarray(emissions, dtype=float)
+    if emissions.ndim != 2 or emissions.shape[1] < 2:
+        raise ValueError(f"emissions must be (N, V+1) with V >= 1, got {emissions.shape}")
+    regions = np.asarray(regions, dtype=int).reshape(-1, 2)
+    targets = [np.asarray(target, dtype=int).reshape(-1) for target in targets]
+    if len(regions) != len(targets):
+        raise ValueError(f"{len(regions)} regions but {len(targets)} targets")
+    # Sorted by start, the edges 0, start, end, start, end, ..., N of disjoint
+    # non-empty regions never fall and always rise within a region.
+    edges = np.diff([0, *regions[np.argsort(regions[:, 0])].ravel(), emissions.shape[0]])
+    if np.any(edges < 0) or np.any(edges[1::2] == 0):
+        raise ValueError(f"regions must be non-empty, disjoint rows of {emissions.shape[0]}")
+    if not targets:
+        return np.zeros(0), (np.zeros_like(emissions) if with_grad else None)
+    p = _pack(emissions, regions, targets, mirrored=with_grad)
+    grad = None
+    with np.errstate(invalid="ignore"):
+        alpha, total = _forward(p)
+        if with_grad:
+            grad, total = _grad(p, alpha, total), total[::2]
+    losses = np.empty(total.size)
+    losses[p.order] = -total
+    return losses, grad
+
+
+def _joined(lattices, targets):
+    """The (T_r, V+1) lattices end to end as one pack, and their regions."""
+    lattices = [np.asarray(lattice, dtype=float) for lattice in lattices]
+    if len(lattices) != len(targets):
+        raise ValueError(f"{len(lattices)} lattices but {len(targets)} targets")
+    for lattice in lattices:
+        if lattice.ndim != 2 or lattice.shape[1] < 2 or lattice.shape[0] < 1:
+            raise ValueError(
+                f"lattice must be (T, V+1) with T >= 1 and V >= 1, got {lattice.shape}"
+            )
+    classes = {lattice.shape[1] for lattice in lattices}
+    if len(classes) > 1:
+        raise ValueError(f"lattices of one batch must share V+1, got {sorted(classes)}")
+    lengths = [lattice.shape[0] for lattice in lattices]
+    ends = np.cumsum(lengths)
+    return np.concatenate(lattices), np.stack([ends - lengths, ends], axis=1)
 
 
 def ctc_loss_batch(lattices, targets) -> np.ndarray:
@@ -188,37 +237,17 @@ def ctc_loss_batch(lattices, targets) -> np.ndarray:
     the padded batch. Lattices may differ in length, not in V+1."""
     if len(lattices) == 0:
         return np.zeros(0)
-    p = _pack(lattices, targets)
-    with np.errstate(invalid="ignore"):
-        _, total = _forward(p)
-    losses = np.empty(total.size)
-    losses[p.order] = -total
-    return losses
+    return ctc_loss_packed(*_joined(lattices, targets), targets, with_grad=False)[0]
 
 
 def ctc_loss_and_grad_batch(lattices, targets) -> tuple[np.ndarray, list[np.ndarray]]:
-    """ctc_loss_and_grad of every (lattice, target) pair in one padded
-    forward-backward.
-
-    The R lattices, (T_r, V+1) each, and their time reversals are padded
-    into one time-major batch, longest first, so that frame t updates only
-    the regions still running (the padded layout of warp-ctc); one alpha
-    recursion over the 2R rows yields every alpha and every beta. Every
-    region's loss and gradient are bitwise those of a batch holding it
-    alone. Returns the R losses and the R gradients, in input order.
-    """
+    """ctc_loss_and_grad of every (lattice, target) pair, in input order,
+    from one ctc_loss_packed call over the lattices end to end."""
     if len(lattices) == 0:
         return np.zeros(0), []
-    p = _pack(lattices, targets, mirrored=True)
-    with np.errstate(invalid="ignore"):
-        alpha, total = _forward(p)
-        grad = _grad(p, alpha, total)
-    losses = np.empty(p.order.size)
-    losses[p.order] = -total[::2]
-    grads: list = [None] * losses.size
-    for k, i in enumerate(p.order):
-        grads[i] = grad[p.starts[k] : p.starts[k] + p.frames[2 * k]]
-    return losses, grads
+    emissions, regions = _joined(lattices, targets)
+    losses, grad = ctc_loss_packed(emissions, regions, targets, with_grad=True)
+    return losses, [grad[start:end] for start, end in regions]
 
 
 def ctc_loss(lattice, target) -> float:

@@ -25,9 +25,10 @@ utterance inside the pack. pack_backward returns the gradient of the pack's
 summed loss: each weight gradient is formed per utterance, on that
 utterance's rows, and the terms are added in pack order, so the sum is
 bitwise that of the utterances' own gradients wherever BLAS picks the same
-kernel for both shapes. `unpack` splits a packed array by utterance and
-pack_backward takes one logit gradient per utterance, so the layout is known
-here alone; model_forward and model_backward are the pack of one.
+kernel for both shapes. pack_backward takes one logit gradient laid out like
+the pack, (sum T, V+1), and skips the encoder when only the head is trained;
+`unpack` splits a packed array by utterance for the analysis. model_forward
+and model_backward are the pack of one.
 
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
@@ -541,17 +542,21 @@ def unpack(packed: np.ndarray, cache) -> list[np.ndarray]:
     return [packed[s] for s in cache["slices"]]
 
 
-def pack_backward(model: Model, cache, dlogits, masked_rows) -> dict[str, np.ndarray]:
+def pack_backward(
+    model: Model, cache, dlogits, masked_rows, with_encoder: bool = True
+) -> dict[str, np.ndarray]:
     """Parameter gradients of the summed loss of the utterances of a
-    pack_forward cache, for their (T_i, V+1) logit gradients `dlogits`.
+    pack_forward cache, for its (sum T, V+1) logit gradient `dlogits`, laid
+    out like the pack.
 
     Each gradient adds one term per utterance, formed on that utterance's
     rows, in pack order; a pack of one is its utterance alone.
     `masked_rows[i]` are utterance i's frame indices whose input was the mask
     embedding (or None); their input gradients accumulate into the mask
-    embedding's gradient.
+    embedding's gradient. Without `with_encoder` only the head's gradients
+    are formed and the encoder backward does not run.
     """
-    dlogits = _join([np.asarray(grad, dtype=float) for grad in dlogits])
+    dlogits = np.asarray(dlogits, dtype=float)
     hidden, slices = cache["hidden"], cache["slices"]
     head = model.head
     if isinstance(head, EmbeddingHead):
@@ -563,14 +568,16 @@ def pack_backward(model: Model, cache, dlogits, masked_rows) -> dict[str, np.nda
             "head.proj_weight": _summed_products(dproj, hidden, slices),
             "head.proj_bias": _summed_row_sums(dproj, slices),
         }
-        dh = dproj @ head.proj_weight
+        dout, weight = dproj, head.proj_weight
     else:
         grads = {
             "head.weight": _summed_products(dlogits, hidden, slices),
             "head.bias": _summed_row_sums(dlogits, slices),
         }
-        dh = dlogits @ head.weight
-    encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
+        dout, weight = dlogits, head.weight
+    if not with_encoder:
+        return grads
+    encoder_grads, dx = _encoder_backward(dout @ weight, model.encoder, cache)
     grads.update(encoder_grads)
     masked = (dx[s][rows].sum(axis=0) for s, rows in zip(slices, masked_rows) if rows is not None)
     grads["encoder.mask_embedding"] = reduce(iadd, masked, np.zeros(model.encoder.feature_dim))
@@ -589,7 +596,7 @@ def model_logits(model: Model, features) -> np.ndarray:
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:
     """Parameter gradients of one utterance for a loss whose logit gradient
     is `dlogits`; `masked_rows` as in pack_backward."""
-    return pack_backward(model, cache, [dlogits], [masked_rows])
+    return pack_backward(model, cache, dlogits, [masked_rows])
 
 
 def named_params(model: Model) -> list[tuple[str, np.ndarray]]:

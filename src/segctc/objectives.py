@@ -1,20 +1,26 @@
-"""Training losses over a log-probability lattice.
+"""Training losses over a pack of log-probability lattices.
 
 Three objectives share one (V+1)-way output head: frame-level cross-entropy on
 masked frames, segment-wise CTC per masked region against deduplicated
 targets, and their convex combination. CE is normalized by masked-frame count
-and CTC by total target-token count so the two terms have comparable
-magnitude. All gradients are with respect to the pre-softmax logits and are
+and CTC by total target-token count, per utterance, so the two terms have
+comparable magnitude. A pack is the (sum T, V+1) log-probabilities of a
+batch's utterances end to end, with one MaskSpec each: the masked regions are
+row ranges of the pack and share one CTC call, CE is one gather over the
+masked rows, and each utterance's normalizer divides its own rows. Gradients
+are with respect to the pre-softmax logits, laid out like the pack, and
 exactly zero on unmasked rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .ctc import ctc_loss_and_grad_batch, ctc_loss_batch
+from .ctc import ctc_loss_packed
 from .errors import ConfigError, DimensionMismatchError
 from .masking import MaskSpec
 from .targets import segment_targets
@@ -50,7 +56,8 @@ def effective_alpha(step: int, mode: TrainingMode) -> float:
     return 0.0 if step < mode.ce_warmup_steps else mode.alpha
 
 
-def _check_inputs(log_probs, ids, spec: MaskSpec):
+def _check_pack(log_probs, ids, specs):
+    """The pack as float log-probabilities and int ids."""
     log_probs = np.asarray(log_probs, dtype=float)
     ids = np.asarray(ids, dtype=int).reshape(-1)
     if log_probs.ndim != 2 or log_probs.shape[1] < 2:
@@ -58,58 +65,60 @@ def _check_inputs(log_probs, ids, spec: MaskSpec):
             f"lattice must be (T, V+1) with V >= 1, got {log_probs.shape}"
         )
     frames = log_probs.shape[0]
-    if ids.size != frames or spec.total_frames != frames:
+    covered = sum(spec.total_frames for spec in specs)
+    if ids.size != frames or covered != frames:
         raise DimensionMismatchError(
-            f"lattice has {frames} frames, ids {ids.size}, mask spec {spec.total_frames}"
+            f"lattice has {frames} frames, ids {ids.size}, mask specs {covered}"
         )
     if ids.size and (ids.min() < 0 or ids.max() >= log_probs.shape[1] - 1):
         raise DimensionMismatchError("frame ids must lie in [0, V); blank is never a label")
     return log_probs, ids
 
 
-def _masked_ce(log_probs, ids, spec: MaskSpec, with_grad: bool):
-    rows = np.flatnonzero(spec.frame_mask())
-    grad = np.zeros_like(log_probs) if with_grad else None
-    if rows.size == 0:
-        return 0.0, grad
-    n = rows.size
-    loss = -float(log_probs[rows, ids[rows]].sum()) / n
-    if with_grad:
-        grad[rows] = np.exp(log_probs[rows]) / n
-        grad[rows, ids[rows]] -= 1.0 / n
-    return loss, grad
+def _masked_ce_terms(log_probs, ids, specs, with_grad: bool):
+    """Each utterance's masked CE and, if `with_grad`, the pack gradient of
+    their sum (else None)."""
+    counts = [spec.masked_frames for spec in specs]
+    masks = [spec.frame_mask() for spec in specs]
+    rows = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *masks]))
+    picked = log_probs[rows, ids[rows]]
+    ends = np.cumsum(counts, dtype=int).tolist()
+    losses = [
+        -float(picked[end - n : end].sum()) / n if n else 0.0 for n, end in zip(counts, ends)
+    ]
+    if not with_grad:
+        return losses, None
+    per_row = np.repeat(counts, counts)
+    grad = np.zeros_like(log_probs)
+    grad[rows] = np.exp(log_probs[rows]) / per_row[:, None]
+    grad[rows, ids[rows]] -= 1.0 / per_row
+    return losses, grad
 
 
-def _masked_ctc(batch, with_grad: bool) -> list[tuple[float, np.ndarray | None, int]]:
-    """(token-normalized CTC loss, gradient or None, target tokens) of every
-    checked (log_probs, ids, spec) item, from one CTC call over all regions."""
-    lattices, targets, per_item = [], [], []
-    for log_probs, ids, spec in batch:
-        regions = segment_targets(ids, spec)
-        per_item.append(regions)
-        lattices += [log_probs[start:end] for start, end in spec.intervals]
-        targets += regions
+def _masked_ctc_terms(log_probs, ids, specs, with_grad: bool):
+    """Each utterance's token-normalized segment CTC and target-token count
+    and, if `with_grad`, the pack gradient of their sum (else None), from one
+    CTC call over every masked region, shifted to its utterance's rows."""
+    frames = [spec.total_frames for spec in specs]
+    offsets = np.cumsum([0, *frames[:-1]], dtype=int).tolist()
+    regions, targets, tokens = [], [], []
+    for spec, offset in zip(specs, offsets):
+        segments = segment_targets(ids[offset : offset + spec.total_frames], spec)
+        regions += [(offset + start, offset + end) for start, end in spec.intervals]
+        targets += segments
+        tokens.append(sum(target.size for target in segments))
+    region_losses, grad = ctc_loss_packed(log_probs, regions, targets, with_grad)
+    losses, first = [], 0
+    for spec, n in zip(specs, tokens):
+        # Left to right from 0.0; sum() compensates its float additions on
+        # Python 3.12 and later.
+        summed = reduce(add, region_losses[first : first + len(spec.intervals)].tolist(), 0.0)
+        first += len(spec.intervals)
+        losses.append(summed / n if n else 0.0)
     if with_grad:
-        losses, grads = ctc_loss_and_grad_batch(lattices, targets)
-    else:
-        losses, grads = ctc_loss_batch(lattices, targets), None
-    out = []
-    first = 0
-    for (log_probs, _, spec), regions in zip(batch, per_item):
-        rows = range(first, first + len(regions))
-        first += len(regions)
-        tokens = sum(t.size for t in regions)
-        grad = np.zeros_like(log_probs) if with_grad else None
-        if tokens == 0:
-            out.append((0.0, grad, 0))
-            continue
-        total = 0.0
-        for k, (start, end) in zip(rows, spec.intervals):
-            total += float(losses[k])
-            if with_grad:
-                grad[start:end] = grads[k]
-        out.append((total / tokens, grad / tokens if with_grad else None, tokens))
-    return out
+        divisors = [max(1, n) for n in tokens]
+        grad /= np.repeat(divisors, frames)[:, None]
+    return losses, tokens, grad
 
 
 def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
@@ -118,8 +127,9 @@ def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     Uses the full (V+1)-way softmax including blank, which is never a target.
     Returns (0, zero gradient) when nothing is masked.
     """
-    log_probs, ids = _check_inputs(log_probs, ids, spec)
-    return _masked_ce(log_probs, ids, spec, with_grad=True)
+    log_probs, ids = _check_pack(log_probs, ids, [spec])
+    (loss,), grad = _masked_ce_terms(log_probs, ids, [spec], with_grad=True)
+    return loss, grad
 
 
 def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
@@ -129,43 +139,47 @@ def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     region losses are summed and divided by the total number of target tokens.
     Returns (0, zero gradient) when there are no masked regions.
     """
-    log_probs, ids = _check_inputs(log_probs, ids, spec)
-    loss, grad, _ = _masked_ctc([(log_probs, ids, spec)], with_grad=True)[0]
+    log_probs, ids = _check_pack(log_probs, ids, [spec])
+    (loss,), _, grad = _masked_ctc_terms(log_probs, ids, [spec], with_grad=True)
     return loss, grad
 
 
-def joint_loss_batch(batch, alpha: float) -> list[tuple[LossBreakdown, np.ndarray]]:
-    """joint_loss of every (log_probs, ids, spec) item, in order.
+def joint_loss_batch(
+    log_probs, ids, specs, alpha: float
+) -> tuple[list[LossBreakdown], np.ndarray]:
+    """joint_loss of every utterance of a pack, in order, and the pack
+    gradient of their sum.
 
-    The masked regions of all items go through one batched CTC call. A term
-    whose weight is 0 is still computed and reported, but its gradient is
-    not: at alpha 0 CTC runs its forward recursion only.
+    `log_probs` (sum T, V+1) and `ids` (sum T) hold the utterances end to
+    end; specs[i] is utterance i's MaskSpec, and its total_frames is T_i. A
+    term whose weight is 0 is still computed and reported, but its gradient
+    is not: at alpha 0 CTC runs its forward recursion only.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    batch = [(*_check_inputs(log_probs, ids, spec), spec) for log_probs, ids, spec in batch]
-    ctc_terms = _masked_ctc(batch, with_grad=alpha > 0.0)
-    out = []
-    for (log_probs, ids, spec), (ctc, ctc_grad, tokens) in zip(batch, ctc_terms):
-        ce, ce_grad = _masked_ce(log_probs, ids, spec, with_grad=alpha < 1.0)
-        combined = alpha * ctc + (1.0 - alpha) * ce
-        if alpha == 0.0:
-            grad = ce_grad
-        elif alpha == 1.0:
-            grad = ctc_grad
-        else:
-            grad = alpha * ctc_grad + (1.0 - alpha) * ce_grad
-        breakdown = LossBreakdown(
-            ce=ce,
-            ctc=ctc,
-            combined=combined,
+    log_probs, ids = _check_pack(log_probs, ids, specs)
+    ctc, tokens, ctc_grad = _masked_ctc_terms(log_probs, ids, specs, alpha > 0.0)
+    ce, ce_grad = _masked_ce_terms(log_probs, ids, specs, alpha < 1.0)
+    if alpha == 0.0:
+        grad = ce_grad
+    elif alpha == 1.0:
+        grad = ctc_grad
+    else:
+        grad = alpha * ctc_grad + (1.0 - alpha) * ce_grad
+    breakdowns = [
+        LossBreakdown(
+            ce=ce_u,
+            ctc=ctc_u,
+            combined=alpha * ctc_u + (1.0 - alpha) * ce_u,
             masked_frames=spec.masked_frames,
-            target_tokens=tokens,
+            target_tokens=n,
         )
-        out.append((breakdown, grad))
-    return out
+        for ce_u, ctc_u, n, spec in zip(ce, ctc, tokens, specs)
+    ]
+    return breakdowns, grad
 
 
 def joint_loss(log_probs, ids, spec: MaskSpec, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
     """combined = alpha * ctc + (1 - alpha) * ce, with the matching gradient mix."""
-    return joint_loss_batch([(log_probs, ids, spec)], alpha)[0]
+    (breakdown,), grad = joint_loss_batch(log_probs, ids, [spec], alpha)
+    return breakdown, grad

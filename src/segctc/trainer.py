@@ -2,10 +2,11 @@
 
 Every random draw is keyed by (seed, stream, step[, utterance]) so runs are
 bit-reproducible. A step lays its whole batch end to end along time and runs
-one packed forward, computes the losses of all its utterances with one batched
-CTC call, then runs one packed backward, which returns the gradient of the
-batch's summed loss, reduced in sorted utterance order (segctc.model); the
-step divides it by the batch size.
+one packed forward, computes the losses of all its utterances on the packed
+log-probabilities with one CTC call, then runs one packed backward on the
+packed logit gradient, which returns the gradient of the batch's summed loss,
+reduced in sorted utterance order (segctc.model); the step divides it by the
+batch size. A frozen finetune stops the backward at the head.
 
 Metrics log format: one line per step, tab-separated
     step  ce  ctc  combined  alpha
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ctc import ctc_loss_and_grad_batch
-from .errors import ConfigError, NonFiniteLossError, ShapeMismatchError
+from .ctc import ctc_loss_packed
+from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, ShapeMismatchError
 from .masking import apply_mask, sample_mask
-from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint, unpack
+from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint
 from .numerics import log_softmax
 from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss_batch
 from .seeding import seeded_rng
@@ -144,15 +145,17 @@ def format_metrics(metrics) -> str:
 def _pretrain_batch(model: Model, batch, alpha: float) -> tuple[list[LossBreakdown], dict]:
     """Masked joint loss of every (features, ids, spec) item, in item order,
     and the parameter gradients of their sum: one packed forward, one
-    joint-loss call over every masked region, then one packed backward."""
+    joint-loss call over the pack, then one packed backward."""
+    if any(len(ids) != spec.total_frames for _, ids, spec in batch):
+        raise DimensionMismatchError("every utterance needs one id per frame")
     mask_embedding = model.encoder.mask_embedding
     masked = [apply_mask(features, spec, mask_embedding) for features, _, spec in batch]
     logits, cache = pack_forward(model, masked)
-    log_probs = unpack(log_softmax(logits, axis=1), cache)
-    items = [(lp, ids, spec) for lp, (_, ids, spec) in zip(log_probs, batch)]
-    breakdowns, dlogits = zip(*joint_loss_batch(items, alpha))
-    masked_rows = [np.flatnonzero(spec.frame_mask()) for _, _, spec in batch]
-    return list(breakdowns), pack_backward(model, cache, dlogits, masked_rows)
+    ids = np.concatenate([ids for _, ids, _ in batch])
+    specs = [spec for _, _, spec in batch]
+    breakdowns, dlogits = joint_loss_batch(log_softmax(logits, axis=1), ids, specs, alpha)
+    masked_rows = [np.flatnonzero(spec.frame_mask()) for spec in specs]
+    return breakdowns, pack_backward(model, cache, dlogits, masked_rows)
 
 
 def pretrain_loss_and_grads(
@@ -163,17 +166,21 @@ def pretrain_loss_and_grads(
     return breakdown, grads
 
 
-def _finetune_batch(model: Model, batch) -> tuple[list[float], dict]:
+def _finetune_batch(model: Model, batch, with_encoder=True) -> tuple[list[float], dict]:
     """Token-normalized full-utterance CTC loss of every (features,
-    label_ids) item, in item order, and the parameter gradients of their sum:
-    one packed forward, one CTC call over the batch and one packed backward."""
-    logits, cache = pack_forward(model, [features for features, _ in batch])
-    log_probs = unpack(log_softmax(logits, axis=1), cache)
+    label_ids) item, in item order, and the parameter gradients of their sum
+    (the head's alone without `with_encoder`): one packed forward, one CTC
+    call with a region per utterance, and one packed backward."""
+    features = [x for x, _ in batch]
+    logits, cache = pack_forward(model, features)
+    lengths = [len(x) for x in features]
+    ends = np.cumsum(lengths).tolist()
+    regions = [(end - frames, end) for frames, end in zip(lengths, ends)]
     targets = [dedup(label_ids) for _, label_ids in batch]
-    losses, dlogits = ctc_loss_and_grad_batch(log_probs, targets)
+    losses, dlogits = ctc_loss_packed(log_softmax(logits, axis=1), regions, targets, True)
     tokens = [max(1, target.size) for target in targets]
-    dlogits = [grad / n for grad, n in zip(dlogits, tokens)]
-    grads = pack_backward(model, cache, dlogits, [None] * len(batch))
+    dlogits /= np.repeat(tokens, lengths)[:, None]
+    grads = pack_backward(model, cache, dlogits, [None] * len(batch), with_encoder)
     return [float(loss) / n for loss, n in zip(losses, tokens)], grads
 
 
@@ -307,7 +314,8 @@ def finetune(
 
     def batch_fn(indices, step: int, alpha: float):
         utts = [corpus.utterances[idx] for idx in indices]
-        losses, grads = _finetune_batch(model, [(utt.features, utt.true_ids) for utt in utts])
+        items = [(utt.features, utt.true_ids) for utt in utts]
+        losses, grads = _finetune_batch(model, items, with_encoder=not freeze_encoder)
         return 0.0, sum(losses), sum(losses), grads
 
     trainable = named_params(model)

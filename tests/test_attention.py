@@ -241,7 +241,7 @@ def test_pack_equals_per_utterance(data):
     ]
 
     logits, cache = pack_forward(model, features)
-    grads = pack_backward(model, cache, dlogits, masked_rows)
+    grads = pack_backward(model, cache, np.concatenate(dlogits), masked_rows)
     half = min(window, max(lengths) - 1)
     same_band = window == 0 or all(min(window, frames - 1) == half for frames in lengths)
     exact = same_band and (min(lengths) > 1 or len(lengths) == 1)

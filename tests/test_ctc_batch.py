@@ -20,6 +20,7 @@ from segctc import (
     ctc_loss_batch,
     log_softmax,
 )
+from segctc.ctc import ctc_loss_packed
 from segctc.numerics import NEG_INF
 
 RTOL = 1e-12
@@ -193,6 +194,70 @@ class TestAgainstReference:
             alone_loss, alone_grad = ctc_loss_and_grad(lattice, target)
             assert loss == alone_loss
             np.testing.assert_array_equal(grad, alone_grad)
+
+
+@st.composite
+def packs(draw):
+    """A pack of regions of mixed lengths, in any order, with gap rows of NaN
+    before, between and after them; about a fifth of the region cells are
+    -inf, and targets may hold adjacent repeats that do not fit."""
+    vocab = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, regions, targets = [], [], []
+    first = 0
+    for _ in range(draw(st.integers(1, 5))):
+        gap = draw(st.integers(0, 3))
+        frames = draw(st.integers(1, 8))
+        blocks.append(np.full((gap, vocab + 1), np.nan))
+        blocks.append(with_zero_classes(rng, random_lattice(rng, frames, vocab), 0.2))
+        regions.append((first + gap, first + gap + frames))
+        targets.append(draw(st.lists(st.integers(0, vocab - 1), max_size=frames)))
+        first += gap + frames
+    blocks.append(np.full((draw(st.integers(0, 3)), vocab + 1), np.nan))
+    order = draw(st.permutations(range(len(regions))))
+    return np.concatenate(blocks), [regions[i] for i in order], [targets[i] for i in order]
+
+
+class TestPacked:
+    @settings(max_examples=200, deadline=None)
+    @given(packs())
+    def test_regions_against_reference(self, pack):
+        """Each region's loss and gradient rows match the reference on its
+        lattice alone; every row outside a region has gradient exactly 0."""
+        emissions, regions, targets = pack
+        losses, grad = ctc_loss_packed(emissions, regions, targets, with_grad=True)
+        forward_only, none = ctc_loss_packed(emissions, regions, targets, with_grad=False)
+        assert none is None
+        assert grad.shape == emissions.shape
+        inside = np.zeros(emissions.shape[0], dtype=bool)
+        for (start, end), target, loss, fwd in zip(regions, targets, losses, forward_only):
+            inside[start:end] = True
+            ref_loss, ref_grad = reference_loss_and_grad(emissions[start:end], target)
+            assert fwd == loss
+            if np.isinf(ref_loss):
+                assert loss == ref_loss
+                assert np.all(grad[start:end] == 0.0)
+                continue
+            assert abs(loss - ref_loss) <= RTOL * max(1.0, abs(ref_loss))
+            np.testing.assert_allclose(grad[start:end], ref_grad, rtol=RTOL, atol=RTOL)
+        assert np.all(grad[~inside] == 0.0)
+
+    @pytest.mark.parametrize(
+        "regions",
+        [[(0, 3), (2, 5)], [(4, 6), (0, 5)], [(1, 4), (1, 4)], [(-1, 2)], [(3, 7)], [(2, 2)]],
+        ids=["overlap", "overlap-unsorted", "repeated", "negative-start", "past-end", "empty"],
+    )
+    @pytest.mark.parametrize("with_grad", [True, False])
+    def test_bad_regions_rejected(self, regions, with_grad):
+        emissions = random_lattice(np.random.default_rng(5), 6, 3)
+        with pytest.raises(ValueError):
+            ctc_loss_packed(emissions, regions, [[0]] * len(regions), with_grad)
+
+    def test_no_regions(self):
+        emissions = random_lattice(np.random.default_rng(6), 4, 2)
+        losses, grad = ctc_loss_packed(emissions, [], [], with_grad=True)
+        assert losses.shape == (0,)
+        assert grad.shape == emissions.shape and np.all(grad == 0.0)
 
 
 class TestBatchContract:

@@ -191,6 +191,18 @@ class TestJointLoss:
         assert check_gradient(f, logits.ravel()) < 1e-4
 
 
+def pack(items):
+    """The (log_probs, ids, spec) items laid end to end: (log_probs, ids, specs)."""
+    log_probs = np.concatenate([log_probs for log_probs, _, _ in items])
+    ids = np.concatenate([ids for _, ids, _ in items])
+    return log_probs, ids, [spec for _, _, spec in items]
+
+
+def utterance_rows(items):
+    ends = np.cumsum([len(ids) for _, ids, _ in items])
+    return [slice(end - len(ids), end) for (_, ids, _), end in zip(items, ends)]
+
+
 class TestJointLossBatch:
     def _batch(self, rng):
         items = []
@@ -203,15 +215,18 @@ class TestJointLossBatch:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     def test_equals_one_call_per_item(self, alpha):
         items = self._batch(np.random.default_rng(15))
-        batched = joint_loss_batch(items, alpha)
-        assert len(batched) == len(items)
-        for (breakdown, grad), item in zip(batched, items):
+        breakdowns, grad = joint_loss_batch(*pack(items), alpha)
+        assert len(breakdowns) == len(items)
+        assert grad.shape == (sum(len(ids) for _, ids, _ in items), items[0][0].shape[1])
+        for breakdown, rows, item in zip(breakdowns, utterance_rows(items), items):
             alone, alone_grad = joint_loss(*item, alpha)
             assert breakdown == alone
-            np.testing.assert_array_equal(grad, alone_grad)
+            np.testing.assert_array_equal(grad[rows], alone_grad)
 
     def test_empty_batch(self):
-        assert joint_loss_batch([], 0.5) == []
+        breakdowns, grad = joint_loss_batch(np.zeros((0, 5)), np.zeros(0, dtype=int), [], 0.5)
+        assert breakdowns == []
+        assert grad.shape == (0, 5)
 
     def test_segment_targets_computed_once_per_item(self, monkeypatch):
         items = self._batch(np.random.default_rng(16))
@@ -223,23 +238,38 @@ class TestJointLossBatch:
             return real(ids, spec)
 
         monkeypatch.setattr(segctc.objectives, "segment_targets", counting)
-        joint_loss_batch(items, 0.5)
+        joint_loss_batch(*pack(items), 0.5)
         assert len(calls) == len(items)
 
     def test_alpha_zero_runs_ctc_forward_only(self, monkeypatch):
         items = self._batch(np.random.default_rng(17))
         expected = [masked_ctc_loss(*item)[0] for item in items]
+        real = segctc.objectives.ctc_loss_packed
 
-        def no_backward(*args):
-            raise AssertionError("CTC backward ran at alpha 0")
+        def forward_only(emissions, regions, targets, with_grad):
+            assert not with_grad, "CTC backward ran at alpha 0"
+            return real(emissions, regions, targets, with_grad)
 
-        monkeypatch.setattr(segctc.objectives, "ctc_loss_and_grad_batch", no_backward)
-        batched = joint_loss_batch(items, 0.0)
-        assert [breakdown.ctc for breakdown, _ in batched] == expected
-        for (breakdown, grad), item in zip(batched, items):
+        monkeypatch.setattr(segctc.objectives, "ctc_loss_packed", forward_only)
+        breakdowns, grad = joint_loss_batch(*pack(items), 0.0)
+        assert [breakdown.ctc for breakdown in breakdowns] == expected
+        for breakdown, rows, item in zip(breakdowns, utterance_rows(items), items):
             ce, ce_grad = masked_ce_loss(*item)
             assert breakdown.ce == breakdown.combined == ce
-            np.testing.assert_array_equal(grad, ce_grad)
+            np.testing.assert_array_equal(grad[rows], ce_grad)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_breakdown_fields_are_python_numbers(self, alpha):
+        items = self._batch(np.random.default_rng(18))
+        log_probs, ids, _ = random_instance(np.random.default_rng(19))
+        items.append((log_probs, ids, MaskSpec((), ids.size)))  # nothing masked
+        breakdowns, _ = joint_loss_batch(*pack(items), alpha)
+        for breakdown in breakdowns:
+            for name in ("ce", "ctc", "combined"):
+                assert type(getattr(breakdown, name)) is float
+            assert type(breakdown.masked_frames) is int
+            assert type(breakdown.target_tokens) is int
+        assert breakdowns[-1].ce == breakdowns[-1].ctc == 0.0
 
 
 class TestEffectiveAlpha:

@@ -1,13 +1,17 @@
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
 
+import segctc.model
+import segctc.trainer
 from segctc import (
     AdamHyper,
     AdamState,
     ConfigError,
     CorpusConfig,
+    DimensionMismatchError,
     NonFiniteLossError,
     ShapeMismatchError,
     StepMetrics,
@@ -242,6 +246,23 @@ class TestTrain:
         assert (exc_info.value.step, exc_info.value.utterance) == (0, 2)
         assert exc_info.value.term == "ctc"
 
+    def test_ids_of_each_utterance_must_cover_its_frames(self):
+        # One id short in one utterance and one over in the next: the pack
+        # still holds one id per frame, but the ids would shift by a frame.
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        first, second = corpus.utterances[:2]
+        corpus = dataclasses.replace(
+            corpus,
+            utterances=[
+                dataclasses.replace(first, noisy_ids=first.noisy_ids[:-1]),
+                dataclasses.replace(
+                    second, noisy_ids=np.append(second.noisy_ids, second.noisy_ids[-1])
+                ),
+            ],
+        )
+        with pytest.raises(DimensionMismatchError):
+            train(corpus, tiny_train_config(steps=1, batch_size=2), tiny_model())
+
     def test_grad_clip_changes_trajectory(self):
         corpus = gen_corpus(TINY_CORPUS_CFG)
         _, m1 = train(corpus, tiny_train_config(steps=3), tiny_model(seed=7))
@@ -455,6 +476,40 @@ class TestFinetune:
         for before, after in zip(encoder_before, encoder_after):
             np.testing.assert_array_equal(before, after)
         assert not np.array_equal(head_before, model.head.weight)
+
+    def test_frozen_encoder_runs_no_encoder_backward(self, tmp_path, monkeypatch):
+        """A frozen finetune forms the head's gradients alone, and its head
+        ends where a full backward, whose encoder gradients the loop drops,
+        leaves it."""
+        corpus, pre = self._pretrained(tmp_path)
+        cfg = tiny_train_config(steps=3)
+
+        def fresh():
+            head = init_finetune_head(None, vocab=corpus.vocab, model_dim=6, rng=seeded_rng(14))
+            return Model(encoder=copy.deepcopy(pre.encoder), head=head)
+
+        def full_backward(model, cache, dlogits, masked_rows, with_encoder=True):
+            return real_pack_backward(model, cache, dlogits, masked_rows)
+
+        real_pack_backward = segctc.trainer.pack_backward
+        monkeypatch.setattr(segctc.trainer, "pack_backward", full_backward)
+        full, _ = finetune(corpus, cfg, fresh(), freeze_encoder=True)
+        monkeypatch.undo()
+
+        calls = []
+        real_encoder_backward = segctc.model._encoder_backward
+
+        def counting(*args):
+            calls.append(args)
+            return real_encoder_backward(*args)
+
+        monkeypatch.setattr(segctc.model, "_encoder_backward", counting)
+        frozen, _ = finetune(corpus, cfg, fresh(), freeze_encoder=True)
+        assert calls == []
+        for (name, got), (_, want) in zip(named_params(frozen), named_params(full)):
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        finetune(corpus, tiny_train_config(steps=1), fresh())
+        assert len(calls) == 1  # the count sees an unfrozen step's backward
 
     def test_unfrozen_encoder_moves(self, tmp_path):
         corpus, pre = self._pretrained(tmp_path)
