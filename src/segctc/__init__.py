@@ -14,11 +14,8 @@ from .analysis import (
 from .ctc import (
     brute_force_ctc,
     collapse_path,
-    ctc_grad,
     ctc_loss,
     ctc_loss_and_grad,
-    ctc_loss_and_grad_batch,
-    ctc_loss_batch,
     greedy_collapse,
 )
 from .errors import (
@@ -31,6 +28,7 @@ from .errors import (
     NonFiniteLossError,
     ShapeMismatchError,
     VersionMismatchError,
+    ZeroProbabilityError,
 )
 from .masking import MaskSpec, apply_mask, merge_spans, sample_mask
 from .model import (

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyDatasetError
+from .errors import DimensionMismatchError, EmptyDatasetError, ZeroProbabilityError
 from .model import Model, pack_forward, unpack
 from .numerics import log_softmax
 
@@ -96,9 +96,9 @@ def compare_models(
     `eval_split` makes them), each model runs once per utterance and both
     reference sets are scored against that one forward; otherwise each set
     gets its own pass. Both routes give the same figures bit for bit. A
-    reference id outside [0, V) of either model raises
-    DimensionMismatchError. The verdict is True when the CTC-trained model
-    degrades strictly less.
+    reference id outside [0, V) of either model raises DimensionMismatchError,
+    a model with clean probability zero ZeroProbabilityError. The verdict is
+    True when the CTC-trained model degrades strictly less.
     """
     clean = list(clean_utterances)
     jittered = list(jittered_utterances)
@@ -106,7 +106,7 @@ def compare_models(
         np.array_equal(a.features, b.features) for a, b in zip(clean, jittered)
     )
     reports = []
-    for model in (ce_model, ctc_model):
+    for name, model in (("ce", ce_model), ("ctc", ctc_model)):
         if shared:
             clean_prob, degraded_prob = _avg_posteriors(
                 model,
@@ -116,6 +116,8 @@ def compare_models(
         else:
             clean_prob = avg_posterior(model, clean)
             degraded_prob = avg_posterior(model, jittered)
+        if clean_prob == 0.0:
+            raise ZeroProbabilityError(f"the {name} model puts no probability on any clean frame")
         reports.append(degradation_report(clean_prob, degraded_prob))
     ce_report, ctc_report = reports
     verdict = ctc_report.relative_degradation < ce_report.relative_degradation

@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteLossError,
     ShapeMismatchError,
     VersionMismatchError,
+    ZeroProbabilityError,
 )
 from .model import (
     NONLIN_CODES,
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 _ERROR_CATEGORIES = [
     (ConfigError, "config", 2),
     (VersionMismatchError, "format", 4),
-    (NonFiniteLossError, "numeric", 5),
+    ((NonFiniteLossError, ZeroProbabilityError), "numeric", 5),
     ((DimensionMismatchError, ShapeMismatchError, LengthMismatchError), "data", 6),
     (EmptyDatasetError, "data", 6),
     ((FileNotFoundError, IsADirectoryError, PermissionError, OSError), "io", 3),

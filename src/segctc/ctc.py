@@ -11,8 +11,7 @@ Every loss goes through one kernel, `ctc_loss_packed`. It works on a pack:
 gathered into one time-major batch that shares a single alpha recursion, so
 the Python loop over frames runs once per batch, not once per region. There
 is no beta recursion: beta is the alpha of the time-reversed region, which
-rides in the same batch when a gradient is wanted. The lattice-list and
-one-lattice functions join their lattices into a pack.
+rides in the same batch when a gradient is wanted. One lattice is one region.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError, InfeasibleTargetError
 from .numerics import NEG_INF, log_sum_exp
+from .targets import dedup
 
 ENUMERATION_LIMIT = 10_000_000
 _ENUMERATION_CHUNK = 1 << 16
@@ -53,15 +53,7 @@ class _Packed:
 
 def collapse_path(path, blank: int) -> list[int]:
     """Map a frame-level path to labels: collapse adjacent repeats, drop blanks."""
-    out: list[int] = []
-    prev = None
-    for sym in path:
-        sym = int(sym)
-        if sym != prev:
-            if sym != blank:
-                out.append(sym)
-            prev = sym
-    return out
+    return [int(s) for s in dedup(path) if s != blank]
 
 
 def _pack(emissions, regions, targets, mirrored: bool) -> _Packed:
@@ -214,42 +206,6 @@ def ctc_loss_packed(emissions, regions, targets, with_grad: bool):
     return losses, grad
 
 
-def _joined(lattices, targets):
-    """The (T_r, V+1) lattices end to end as one pack, and their regions."""
-    lattices = [np.asarray(lattice, dtype=float) for lattice in lattices]
-    if len(lattices) != len(targets):
-        raise ValueError(f"{len(lattices)} lattices but {len(targets)} targets")
-    for lattice in lattices:
-        if lattice.ndim != 2 or lattice.shape[1] < 2 or lattice.shape[0] < 1:
-            raise ValueError(
-                f"lattice must be (T, V+1) with T >= 1 and V >= 1, got {lattice.shape}"
-            )
-    classes = {lattice.shape[1] for lattice in lattices}
-    if len(classes) > 1:
-        raise ValueError(f"lattices of one batch must share V+1, got {sorted(classes)}")
-    lengths = [lattice.shape[0] for lattice in lattices]
-    ends = np.cumsum(lengths)
-    return np.concatenate(lattices), np.stack([ends - lengths, ends], axis=1)
-
-
-def ctc_loss_batch(lattices, targets) -> np.ndarray:
-    """ctc_loss of every (lattice, target) pair: one forward recursion over
-    the padded batch. Lattices may differ in length, not in V+1."""
-    if len(lattices) == 0:
-        return np.zeros(0)
-    return ctc_loss_packed(*_joined(lattices, targets), targets, with_grad=False)[0]
-
-
-def ctc_loss_and_grad_batch(lattices, targets) -> tuple[np.ndarray, list[np.ndarray]]:
-    """ctc_loss_and_grad of every (lattice, target) pair, in input order,
-    from one ctc_loss_packed call over the lattices end to end."""
-    if len(lattices) == 0:
-        return np.zeros(0), []
-    emissions, regions = _joined(lattices, targets)
-    losses, grad = ctc_loss_packed(emissions, regions, targets, with_grad=True)
-    return losses, [grad[start:end] for start, end in regions]
-
-
 def ctc_loss(lattice, target) -> float:
     """Negative log-probability of all paths collapsing to `target`.
 
@@ -257,7 +213,7 @@ def ctc_loss(lattice, target) -> float:
     room for a separating blank). Raises InfeasibleTargetError when the target
     is longer than the lattice.
     """
-    return float(ctc_loss_batch([lattice], [target])[0])
+    return float(ctc_loss_packed(lattice, [(0, len(lattice))], [target], with_grad=False)[0][0])
 
 
 def ctc_loss_and_grad(lattice, target) -> tuple[float, np.ndarray]:
@@ -267,13 +223,8 @@ def ctc_loss_and_grad(lattice, target) -> tuple[float, np.ndarray]:
     occupancy of class k at frame t. For an unreachable target (infinite
     loss) the gradient is left at zero.
     """
-    losses, grads = ctc_loss_and_grad_batch([lattice], [target])
-    return float(losses[0]), grads[0]
-
-
-def ctc_grad(lattice, target) -> np.ndarray:
-    """Gradient of ctc_loss with respect to the pre-softmax logits."""
-    return ctc_loss_and_grad(lattice, target)[1]
+    (loss,), grad = ctc_loss_packed(lattice, [(0, len(lattice))], [target], with_grad=True)
+    return float(loss), grad
 
 
 def brute_force_ctc(lattice, target) -> float:
@@ -316,6 +267,4 @@ def brute_force_ctc(lattice, target) -> float:
 
 def greedy_collapse(lattice) -> list[int]:
     """Per-frame argmax (ties to the lowest index) followed by path collapse."""
-    lattice = np.asarray(lattice, dtype=float)
-    best = np.argmax(lattice, axis=1)
-    return collapse_path(best, lattice.shape[1] - 1)
+    return collapse_path(np.argmax(lattice, axis=1), np.shape(lattice)[1] - 1)

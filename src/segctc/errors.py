@@ -29,6 +29,10 @@ class EmptyDatasetError(ValueError):
     """An evaluation dataset contains no utterances."""
 
 
+class ZeroProbabilityError(ZeroDivisionError):
+    """A model puts no probability where a reported figure divides by it."""
+
+
 class VersionMismatchError(ValueError):
     """A binary file has an unknown magic or version, or is malformed."""
 

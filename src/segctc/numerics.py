@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 NEG_INF = float("-inf")
+
+
+def left_sum(values) -> float:
+    """Floats added left to right from 0.0; sum() compensates them from Python 3.12 on."""
+    return reduce(add, values, 0.0)
 
 
 def log_sum_exp(values) -> float:

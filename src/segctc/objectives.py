@@ -15,14 +15,13 @@ exactly zero on unmasked rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
 from .ctc import ctc_loss_packed
 from .errors import ConfigError, DimensionMismatchError
 from .masking import MaskSpec
+from .numerics import left_sum
 from .targets import segment_targets
 
 
@@ -110,9 +109,7 @@ def _masked_ctc_terms(log_probs, ids, specs, with_grad: bool):
     region_losses, grad = ctc_loss_packed(log_probs, regions, targets, with_grad)
     losses, first = [], 0
     for spec, n in zip(specs, tokens):
-        # Left to right from 0.0; sum() compensates its float additions on
-        # Python 3.12 and later.
-        summed = reduce(add, region_losses[first : first + len(spec.intervals)].tolist(), 0.0)
+        summed = left_sum(region_losses[first : first + len(spec.intervals)].tolist())
         first += len(spec.intervals)
         losses.append(summed / n if n else 0.0)
     if with_grad:

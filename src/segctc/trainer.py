@@ -23,7 +23,7 @@ from .ctc import ctc_loss_packed
 from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, ShapeMismatchError
 from .masking import apply_mask, sample_mask
 from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint
-from .numerics import log_softmax
+from .numerics import left_sum, log_softmax
 from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss_batch
 from .seeding import seeded_rng
 from .synthesis import Corpus
@@ -191,7 +191,7 @@ def finetune_loss_and_grads(model: Model, features, label_ids) -> tuple[float, d
 
 
 def _clip_grads(grads: dict, max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    total = np.sqrt(left_sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
         scale = max_norm / total
         for g in grads.values():
@@ -248,7 +248,7 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
         ce_mean, ctc_mean, combined_mean = ce_sum / size, ctc_sum / size, combined_sum / size
         # A NaN frame no loss term scores can still reach the gradients
         # through 0 * NaN; AdamW would then poison every parameter.
-        grad_sum = sum(float(g.sum()) for g in grads.values())
+        grad_sum = left_sum(float(g.sum()) for g in grads.values())
         if not (np.isfinite(combined_mean) and np.isfinite(grad_sum)):
             alone = [batch_fn([idx], step, alpha) for idx in indices]
             raise _non_finite(step, combined_mean, grad_sum, alone, indices, alpha, list(grads))
@@ -289,7 +289,7 @@ def train(
             spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
             batch.append((utt.features, utt.noisy_ids, spec))
         losses, grads = _pretrain_batch(model, batch, alpha)
-        sums = (sum(getattr(b, term) for b in losses) for term in ("ce", "ctc", "combined"))
+        sums = (left_sum(getattr(b, term) for b in losses) for term in ("ce", "ctc", "combined"))
         return (*sums, grads)
 
     return _run_loop(
@@ -316,7 +316,7 @@ def finetune(
         utts = [corpus.utterances[idx] for idx in indices]
         items = [(utt.features, utt.true_ids) for utt in utts]
         losses, grads = _finetune_batch(model, items, with_encoder=not freeze_encoder)
-        return 0.0, sum(losses), sum(losses), grads
+        return 0.0, left_sum(losses), left_sum(losses), grads
 
     trainable = named_params(model)
     if freeze_encoder:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from segctc import ConfigError, load_checkpoint, read_blank_params
+from segctc import ConfigError, load_checkpoint, read_blank_params, save_checkpoint
 from segctc.cli import SCHEMA, ExperimentConfig, build_config, main, parse_config_file
 
 FAST = [
@@ -564,4 +564,39 @@ class TestAnalyze:
         )
         assert code == 6
         assert capsys.readouterr().err.startswith("error[data]")
+        assert list(out.iterdir()) == []
+
+    def test_model_without_mass_on_clean_frames_is_numeric_error(
+        self, tmp_path, fast_config, generated, pretrained, capsys
+    ):
+        # A finite float32 blank bias of 1e30 leaves every other class
+        # probability 0, so the relative degradation would divide by zero.
+        ft = tmp_path / "ft"
+        ft.mkdir()
+        args = ["--config", str(fast_config), "--steps", "2", "--out", str(ft)]
+        corpus = ["--corpus", str(generated / "train.corpus")]
+        assert main(["finetune", "--checkpoint", str(pretrained), *corpus, *args]) == 0
+        model = load_checkpoint(ft / "checkpoint.bin")
+        model.head.bias[-1] = 1e30
+        save_checkpoint(model, tmp_path / "blank-wins.bin")
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(
+            [
+                "analyze",
+                "--ce-checkpoint",
+                str(pretrained),
+                "--ctc-checkpoint",
+                str(tmp_path / "blank-wins.bin"),
+                "--eval-clean",
+                str(generated / "eval_clean.corpus"),
+                "--eval-jittered",
+                str(generated / "eval_jittered.corpus"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error[numeric]") and "ctc model" in err
         assert list(out.iterdir()) == []

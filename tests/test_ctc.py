@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segctc import (
     EnumerationTooLargeError,
@@ -9,7 +11,6 @@ from segctc import (
     brute_force_ctc,
     check_gradient,
     collapse_path,
-    ctc_grad,
     ctc_loss,
     ctc_loss_and_grad,
     greedy_collapse,
@@ -110,7 +111,7 @@ class TestCtcGrad:
     def test_single_frame_degenerates_to_ce(self):
         rng = np.random.default_rng(14)
         lattice = random_lattice(rng, 1, 3)
-        grad = ctc_grad(lattice, [2])
+        grad = ctc_loss_and_grad(lattice, [2])[1]
         expected = np.exp(lattice[0])
         expected[2] -= 1.0
         np.testing.assert_allclose(grad[0], expected, atol=1e-12)
@@ -141,7 +142,7 @@ class TestCtcGrad:
     def test_time_reversal_symmetry(self):
         # every frame shares one distribution, so the path set is symmetric
         lattice = np.log(np.full((5, 3), 1.0 / 3.0))
-        grad = ctc_grad(lattice, [0])
+        grad = ctc_loss_and_grad(lattice, [0])[1]
         np.testing.assert_allclose(grad, grad[::-1], atol=1e-12)
 
     def test_unreachable_target_zero_gradient(self):
@@ -152,7 +153,40 @@ class TestCtcGrad:
         assert np.all(grad == 0.0)
 
 
+def loop_collapse(path, blank):
+    """The frame-by-frame loop that collapse_path replaced: emit each symbol
+    that differs from the previous frame's, unless it is blank."""
+    out = []
+    prev = None
+    for sym in path:
+        sym = int(sym)
+        if sym != prev:
+            if sym != blank:
+                out.append(sym)
+            prev = sym
+    return out
+
+
 class TestCollapse:
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda classes: st.tuples(
+                st.lists(st.integers(0, classes - 1), max_size=30), st.just(classes - 1)
+            )
+        ),
+        st.sampled_from([list, np.array, lambda path: np.array(path, dtype=np.int32)]),
+    )
+    def test_collapse_path_equals_loop(self, path_and_blank, as_type):
+        path, blank = path_and_blank
+        got = collapse_path(as_type(path), blank)
+        assert got == loop_collapse(path, blank)
+        assert all(type(sym) is int for sym in got)
+
+    @pytest.mark.parametrize("path", [[], [3], [3, 3, 3, 3]])
+    @pytest.mark.parametrize("as_type", [list, np.array])
+    def test_collapse_path_empty_and_all_blank(self, path, as_type):
+        assert collapse_path(as_type(path), 3) == loop_collapse(path, 3) == []
+
     def test_collapse_path_examples(self):
         blank = 2
         assert collapse_path([blank, 0, 0, blank, 1], blank) == [0, 1]

@@ -12,14 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segctc import (
-    brute_force_ctc,
-    ctc_loss,
-    ctc_loss_and_grad,
-    ctc_loss_and_grad_batch,
-    ctc_loss_batch,
-    log_softmax,
-)
+from segctc import brute_force_ctc, ctc_loss, ctc_loss_and_grad, log_softmax
 from segctc.ctc import ctc_loss_packed
 from segctc.numerics import NEG_INF
 
@@ -101,9 +94,29 @@ def random_lattice(rng, frames, vocab):
     return log_softmax(rng.normal(size=(frames, vocab + 1)), axis=1)
 
 
+def end_to_end(lattices):
+    """The (T_r, V+1) lattices laid end to end as one pack, and their regions."""
+    lengths = [lattice.shape[0] for lattice in lattices]
+    ends = np.cumsum(lengths)
+    return np.concatenate(lattices), np.stack([ends - lengths, ends], axis=1)
+
+
+def packed_losses(lattices, targets):
+    """ctc_loss_packed's forward-only losses over the lattices end to end."""
+    return ctc_loss_packed(*end_to_end(lattices), targets, with_grad=False)[0]
+
+
+def packed_losses_and_grads(lattices, targets):
+    """ctc_loss_packed's losses over the lattices end to end, and each
+    lattice's rows of the pack gradient."""
+    emissions, regions = end_to_end(lattices)
+    losses, grad = ctc_loss_packed(emissions, regions, targets, with_grad=True)
+    return losses, [grad[start:end] for start, end in regions]
+
+
 def assert_matches_reference(lattices, targets):
-    losses, grads = ctc_loss_and_grad_batch(lattices, targets)
-    forward_only = ctc_loss_batch(lattices, targets)
+    losses, grads = packed_losses_and_grads(lattices, targets)
+    forward_only = packed_losses(lattices, targets)
     assert losses.shape == forward_only.shape == (len(lattices),)
     assert len(grads) == len(lattices)
     for lattice, target, loss, fwd, grad in zip(lattices, targets, losses, forward_only, grads):
@@ -159,7 +172,7 @@ class TestAgainstReference:
     @given(batches(max_frames=4))
     def test_random_batches_against_oracle(self, batch):
         lattices, targets = batch
-        losses = ctc_loss_batch(lattices, targets)
+        losses = packed_losses(lattices, targets)
         for lattice, target, loss in zip(lattices, targets, losses):
             oracle = brute_force_ctc(lattice, target)
             if np.isinf(oracle):
@@ -180,7 +193,7 @@ class TestAgainstReference:
         ]
         targets = [[2], [], [], [0, 1, 2, 0], [1, 1], [0, 0, 1, 2, 1], [1, 1]]
         assert_matches_reference(lattices, targets)
-        losses, grads = ctc_loss_and_grad_batch(lattices, targets)
+        losses, grads = packed_losses_and_grads(lattices, targets)
         assert losses[4] == np.inf and np.all(grads[4] == 0.0)
         assert np.isfinite(losses[6])
 
@@ -189,7 +202,7 @@ class TestAgainstReference:
         lattices = [random_lattice(rng, int(n), 4) for n in rng.integers(1, 30, size=12)]
         targets = [rng.integers(0, 4, size=int(rng.integers(0, lat.shape[0] // 2 + 1)))
                    for lat in lattices]
-        losses, grads = ctc_loss_and_grad_batch(lattices, targets)
+        losses, grads = packed_losses_and_grads(lattices, targets)
         for lattice, target, loss, grad in zip(lattices, targets, losses, grads):
             alone_loss, alone_grad = ctc_loss_and_grad(lattice, target)
             assert loss == alone_loss
@@ -262,19 +275,14 @@ class TestPacked:
 
 class TestBatchContract:
     def test_empty_batch(self):
-        losses, grads = ctc_loss_and_grad_batch([], [])
-        assert losses.shape == (0,) and grads == []
-        assert ctc_loss_batch([], []).shape == (0,)
-
-    def test_mismatched_class_counts_rejected(self):
-        rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            ctc_loss_and_grad_batch([random_lattice(rng, 3, 2), random_lattice(rng, 3, 3)], [[0], [0]])
+        losses, grad = ctc_loss_packed(np.zeros((0, 3)), [], [], with_grad=True)
+        assert losses.shape == (0,) and grad.shape == (0, 3)
+        assert ctc_loss_packed(np.zeros((0, 3)), [], [], with_grad=False)[0].shape == (0,)
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError):
-            ctc_loss_batch([random_lattice(rng, 3, 2)], [[0], [1]])
+            packed_losses([random_lattice(rng, 3, 2)], [[0], [1]])
 
     def test_empty_lattice_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -283,7 +284,8 @@ class TestTrain:
 
 def per_utterance_run(corpus, cfg, model, loss_and_grads):
     """The optimizer loop of train/finetune with one loss call per utterance:
-    `loss_and_grads(idx, step, alpha)` returns (ce, ctc, combined, grads)."""
+    `loss_and_grads(idx, step, alpha)` returns (ce, ctc, combined, grads).
+    Every float sum adds left to right from 0.0."""
     trainable = named_params(model)
     state = AdamState()
     metrics = []
@@ -303,6 +305,14 @@ def per_utterance_run(corpus, cfg, model, loss_and_grads):
                 total[name] += grads[name]
         for name in total:
             total[name] /= indices.size
+        if cfg.grad_clip > 0.0:
+            squares = 0.0
+            for g in total.values():
+                squares += float(np.sum(g * g))
+            norm = np.sqrt(squares)
+            if norm > cfg.grad_clip:
+                for g in total.values():
+                    g *= cfg.grad_clip / norm
         hyper = AdamHyper(
             lr=learning_rate(step, cfg),
             beta1=cfg.adam_beta1,
@@ -316,6 +326,11 @@ def per_utterance_run(corpus, cfg, model, loss_and_grads):
             StepMetrics(step, ce_sum / size, ctc_sum / size, combined_sum / size, alpha)
         )
     return metrics
+
+
+def compensated_sum(values, start=0):
+    """A compensated float sum, as the builtin sum() adds floats from Python 3.12 on."""
+    return math.fsum([start, *values])
 
 
 class TestBatchedStep:
@@ -346,6 +361,52 @@ class TestBatchedStep:
     def test_finetune_equals_per_utterance_loop(self):
         corpus = gen_corpus(TINY_CORPUS_CFG)
         cfg = tiny_train_config(steps=4, batch_size=4, mode=TrainingMode(alpha=1.0))
+
+        def fresh():
+            head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(13))
+            return Model(encoder=tiny_model(seed=5).encoder, head=head)
+
+        loop_model = fresh()
+
+        def loss_and_grads(idx, step, alpha):
+            utt = corpus.utterances[idx]
+            loss, grads = finetune_loss_and_grads(loop_model, utt.features, utt.true_ids)
+            return 0.0, loss, loss, grads
+
+        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        model, metrics = finetune(corpus, cfg, fresh())
+        assert metrics == expected
+        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("grad_clip", [0.0, 1e-2])
+    def test_pretrain_sums_do_not_depend_on_builtin_sum(self, monkeypatch, grad_clip):
+        # The per-utterance loop adds with +=; the trainer must too, whatever
+        # the interpreter's sum() does.
+        monkeypatch.setattr(segctc.trainer, "sum", compensated_sum, raising=False)
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        cfg = tiny_train_config(steps=5, batch_size=4, grad_clip=grad_clip)
+        loop_model = tiny_model(seed=4)
+
+        def loss_and_grads(idx, step, alpha):
+            utt = corpus.utterances[idx]
+            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
+            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
+            b, grads = pretrain_loss_and_grads(
+                loop_model, utt.features, utt.noisy_ids, spec, alpha
+            )
+            return b.ce, b.ctc, b.combined, grads
+
+        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        model, metrics = train(corpus, cfg, tiny_model(seed=4))
+        assert metrics == expected
+        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_finetune_sums_do_not_depend_on_builtin_sum(self, monkeypatch):
+        monkeypatch.setattr(segctc.trainer, "sum", compensated_sum, raising=False)
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        cfg = tiny_train_config(steps=5, batch_size=6, mode=TrainingMode(alpha=1.0))
 
         def fresh():
             head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(13))
