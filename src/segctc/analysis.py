@@ -1,6 +1,9 @@
 """Posterior-quality evaluation: average reference-label probability on
 unmasked inputs, and the relative degradation between a clean and a
 misaligned reference set.
+
+The models run forward only, in packs, through `pack_logits`: the encoder
+forward of training without its backward record.
 """
 
 from __future__ import annotations
@@ -10,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyDatasetError, ZeroProbabilityError
-from .model import Model, pack_forward, unpack
+from .model import Model, pack_logits
 from .numerics import log_softmax
 
-# Utterances per analysis forward: `cmd_analyze` took 55-68 ms at 8, 78-93 at 1, 77-117 at 32-100.
+# Utterances per analysis forward: `cmd_analyze` took 55-68 ms at 8, 78-93 at 1, 77-117 at 32-100
+# with the backward record; without it, 4, 16 and 25 took 1.00, 1.02 and 1.15 times as long as 8.
 PACK_SIZE = 8
 
 
@@ -24,43 +28,48 @@ class PosteriorReport:
     relative_degradation: float
 
 
-def _pack_log_probs(model: Model, features) -> list[np.ndarray]:
-    """Per-utterance (T_i, V+1) log-probabilities of one pack_forward over
-    `features`. Only these views outlive the call, so the pack's forward
-    cache is freed before the next pack runs."""
-    logits, cache = pack_forward(model, features)
-    return unpack(log_softmax(logits, axis=1), cache)
-
-
 def _avg_posteriors(model: Model, features, ref_sets) -> list[float]:
     """Frame-weighted mean reference-id probability for each reference set.
 
     `ref_sets` holds one list of per-utterance id arrays per set, each aligned
-    with `features`. The utterances run through the model once, in
-    consecutive packs of PACK_SIZE, and every set is scored against the same
+    with `features`: one id per frame, or DimensionMismatchError names the
+    utterance before any forward runs. The utterances run through the model
+    once, in consecutive packs of PACK_SIZE, each one pack_logits (no backward
+    record) and one log_softmax, and every set is scored against the same
     log-probabilities, so one forward serves all sets; only one pack's
-    log-probabilities are held at a time. Sums are added in utterance order.
+    log-probabilities are held at a time. Each set's references are gathered
+    once per pack; each utterance's probabilities are summed over its own
+    rows, and the sums added in utterance order.
     """
     if not features:
         raise EmptyDatasetError("no utterances to evaluate")
     vocab = model.head.vocab
+    joined = []
     for refs in ref_sets:
+        for i, (x, ref) in enumerate(zip(features, refs)):
+            if len(ref) != len(x):
+                raise DimensionMismatchError(
+                    f"utterance {i} has {len(x)} frames but {len(ref)} reference ids"
+                )
         ids = np.concatenate(refs)
         if ids.min() < 0 or ids.max() >= vocab:
             raise DimensionMismatchError(
                 f"reference ids span [{ids.min()}, {ids.max()}], outside the "
                 f"model's label range [0, {vocab})"
             )
+        joined.append(ids)
     totals = [0.0] * len(ref_sets)
-    frames = [0] * len(ref_sets)
+    first = 0  # the pack's first row in `joined`
     for start in range(0, len(features), PACK_SIZE):
-        pack = _pack_log_probs(model, features[start : start + PACK_SIZE])
-        for i, log_probs in enumerate(pack, start):
-            for j, refs in enumerate(ref_sets):
-                ref = refs[i]
-                totals[j] += float(np.exp(log_probs[np.arange(ref.size), ref]).sum())
-                frames[j] += ref.size
-    return [total / count for total, count in zip(totals, frames)]
+        logits, slices = pack_logits(model, features[start : start + PACK_SIZE])
+        log_probs = log_softmax(logits, axis=1)
+        rows = np.arange(log_probs.shape[0])
+        for j, ids in enumerate(joined):
+            probs = np.exp(log_probs[rows, ids[first : first + rows.size]])
+            for s in slices:
+                totals[j] += float(probs[s].sum())
+        first += rows.size
+    return [total / ids.size for total, ids in zip(totals, joined)]
 
 
 def avg_posterior(model: Model, utterances, refs: str = "noisy") -> float:
@@ -69,7 +78,8 @@ def avg_posterior(model: Model, utterances, refs: str = "noisy") -> float:
     The model runs on unmasked inputs. References are the utterances' noisy
     ids by default ("true" selects the ground-truth ids); blank is never a
     reference but stays in the softmax normalization. A reference id outside
-    [0, V) of the model raises DimensionMismatchError.
+    [0, V) of the model, or an utterance whose references do not number its
+    frames, raises DimensionMismatchError.
     """
     if refs not in ("noisy", "true"):
         raise ValueError(f"refs must be 'noisy' or 'true', got {refs!r}")
@@ -96,9 +106,10 @@ def compare_models(
     `eval_split` makes them), each model runs once per utterance and both
     reference sets are scored against that one forward; otherwise each set
     gets its own pass. Both routes give the same figures bit for bit. A
-    reference id outside [0, V) of either model raises DimensionMismatchError,
-    a model with clean probability zero ZeroProbabilityError. The verdict is
-    True when the CTC-trained model degrades strictly less.
+    reference id outside [0, V) of either model, or an utterance whose
+    references do not number its frames, raises DimensionMismatchError; a
+    model with clean probability zero raises ZeroProbabilityError. The
+    verdict is True when the CTC-trained model degrades strictly less.
     """
     clean = list(clean_utterances)
     jittered = list(jittered_utterances)

@@ -26,9 +26,17 @@ summed loss: each weight gradient is formed per utterance, on that
 utterance's rows, and the terms are added in pack order, so the sum is
 bitwise that of the utterances' own gradients wherever BLAS picks the same
 kernel for both shapes. pack_backward takes one logit gradient laid out like
-the pack, (sum T, V+1), and skips the encoder when only the head is trained;
-`unpack` splits a packed array by utterance for the analysis. model_forward
-and model_backward are the pack of one.
+the pack, (sum T, V+1), and skips the encoder when only the head is trained.
+model_forward and model_backward are the pack of one.
+
+One encoder forward serves two callers. pack_forward keeps the backward
+record (the joined input, each block's input and output, the padded q, k,
+w and band weights) for pack_backward. pack_logits (the analysis and
+model_logits) and encoder_forward read only the output and keep none: each
+intermediate is freed with its block, and only k and w, which the band reads
+through windows, are padded. Both modes write each step into the array it
+produces (bias, nonlinearity, residual) and give the same output bit for
+bit. A nonlinearity's derivative is read from its output alone.
 
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
@@ -75,6 +83,7 @@ import numpy as np
 
 from .codec import F32, F64, U32, FileReader, write_file
 from .errors import DimensionMismatchError, VersionMismatchError
+from .numerics import row_max
 
 CHECKPOINT_MAGIC = b"SCTC"
 CHECKPOINT_VERSION = 1
@@ -254,19 +263,29 @@ def init_model(
 
 
 def _nonlin(u: np.ndarray, kind: str) -> np.ndarray:
+    """The nonlinearity applied to `u` in place; returns `u`."""
     if kind == "tanh":
-        return np.tanh(u)
+        return np.tanh(u, out=u)
     if kind == "relu":
-        return np.maximum(u, 0.0)
+        return np.maximum(u, 0.0, out=u)
     raise ValueError(f"unknown nonlinearity {kind!r}")
 
 
-def _nonlin_deriv(u: np.ndarray, v: np.ndarray, kind: str) -> np.ndarray:
+def _nonlin_deriv(v: np.ndarray, kind: str) -> np.ndarray:
+    """The nonlinearity's derivative at its input, from its output `v`:
+    relu(u) > 0 exactly where u > 0 (both false on NaN)."""
     if kind == "tanh":
         return 1.0 - v * v
     if kind == "relu":
-        return (u > 0.0).astype(float)
+        return (v > 0.0).astype(float)
     raise ValueError(f"unknown nonlinearity {kind!r}")
+
+
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x @ weight.T + bias, with the bias added into the product."""
+    out = x @ weight.T
+    out += bias
+    return out
 
 
 def _join(arrays: list[np.ndarray]) -> np.ndarray:
@@ -356,27 +375,31 @@ def _padded_matmul(v: np.ndarray, weight: np.ndarray, half: int) -> np.ndarray:
     return out
 
 
-def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float):
+def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float, record: bool):
     """Attention restricted to |i - j| <= half within each utterance of the
     pack, computed on the (sum T, 2*half+1) band only. Returns the attention
-    output and the backward's record, whose q, k, w and att are padded by
-    `half` zero rows on each side."""
+    output and, with `record`, the backward's record, whose q, k, w and att
+    are padded by `half` zero rows on each side (else None, and only k and
+    w, which the band reads through windows, are padded)."""
     frames = v.shape[0]
     width = 2 * half + 1
-    rows = slice(half, half + frames)
-    q = _padded_matmul(v, attn.wq, half)
     k = _padded_matmul(v, attn.wk, half)
     w = _padded_matmul(v, attn.wv, half)
-    att_padded = np.zeros((frames + 2 * half, width))
-    att = att_padded[rows]
-    np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
+    if record:
+        rows = slice(half, half + frames)
+        q = _padded_matmul(v, attn.wq, half)
+        att_padded = np.zeros((frames + 2 * half, width))
+        queries, att = q[rows], att_padded[rows]
+    else:
+        queries, att = v @ attn.wq.T, np.empty((frames, width))
+    np.einsum("td,tod->to", queries, _windows(k, frames, width), out=att)
     att *= scale
     att += _join([_band_pad(frames, half) for frames in lengths])
-    att -= att.max(axis=1, keepdims=True)
+    att -= row_max(att)
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
     out = _band_contract(att, _windows(w, frames, width))
-    return out, {"q": q, "k": k, "w": w, "att": att_padded}
+    return out, ({"q": q, "k": k, "w": w, "att": att_padded} if record else None)
 
 
 def _banded_attention_backward(do, rec, half: int, scale: float):
@@ -392,15 +415,17 @@ def _banded_attention_backward(do, rec, half: int, scale: float):
     dscores_padded = np.zeros_like(att_padded)
     dscores = dscores_padded[rows]
     np.multiply(att, datt - (datt * att).sum(axis=1, keepdims=True), out=dscores)
-    dq = _band_contract(dscores, _windows(k, frames, width)) * scale
+    dq = _band_contract(dscores, _windows(k, frames, width))
+    dq *= scale
     dk = _band_contract(_antidiagonals(dscores_padded, frames), _windows(q, frames, width))
     dk *= scale
     dw = _band_contract(_antidiagonals(att_padded, frames), _windows(do_padded, frames, width))
     return dq, dk, dw
 
 
-def _dense_attention(v, attn: AttentionParams, slices, scale: float):
-    """Full attention over all frame pairs of each utterance of the pack."""
+def _dense_attention(v, attn: AttentionParams, slices, scale: float, record: bool):
+    """Full attention over all frame pairs of each utterance of the pack;
+    the backward's record only with `record`, else None."""
     q = v @ attn.wq.T
     k = v @ attn.wk.T
     w = v @ attn.wv.T
@@ -412,8 +437,9 @@ def _dense_attention(v, attn: AttentionParams, slices, scale: float):
         np.exp(att, out=att)
         att /= att.sum(axis=1, keepdims=True)
         np.matmul(att, w[s], out=out[s])
-        atts.append(att)
-    return out, {"q": q, "k": k, "w": w, "att": atts}
+        if record:
+            atts.append(att)
+    return out, ({"q": q, "k": k, "w": w, "att": atts} if record else None)
 
 
 def _dense_attention_backward(do, rec, slices, scale: float):
@@ -434,9 +460,13 @@ def _band_half_width(params: EncoderParams, lengths) -> int:
     return min(params.attn_window, max(lengths) - 1)
 
 
-def _encoder_forward(features, params: EncoderParams):
+def _encoder_forward(features, params: EncoderParams, record: bool):
     """Hidden states (sum T, d_model) of the already-masked (T_i, d) frames
-    of every utterance in `features`, laid end to end along time."""
+    of every utterance in `features`, laid end to end along time, and the
+    pack's cache: its lengths and slices, and with `record` what
+    _encoder_backward reads (the joined input and each block's record).
+    Every step writes into the array it produces; without `record` no
+    intermediate outlives its block."""
     arrays = [np.asarray(x, dtype=float) for x in features]
     for x in arrays:
         if x.ndim != 2 or x.shape[1] != params.feature_dim:
@@ -445,34 +475,42 @@ def _encoder_forward(features, params: EncoderParams):
                 f"{params.feature_dim}"
             )
     lengths = tuple(x.shape[0] for x in arrays)
-    tables = [_position_table(frames, params.n_pos) for frames in lengths]
-    xin = np.concatenate([_join(arrays), _join(tables)], axis=1)
-    h = xin @ params.input_weight.T + params.input_bias
+    xin = np.empty((sum(lengths), params.feature_dim + params.n_pos))
+    np.concatenate(arrays, out=xin[:, : params.feature_dim])
+    np.concatenate(
+        [_position_table(frames, params.n_pos) for frames in lengths],
+        out=xin[:, params.feature_dim :],
+    )
+    h = _affine(xin, params.input_weight, params.input_bias)
     slices = _slices(lengths)
-    cache = {"lengths": lengths, "slices": slices, "xin": xin, "blocks": []}
+    cache = {"lengths": lengths, "slices": slices}
+    if record:
+        cache.update(xin=xin, blocks=[])
+    del xin
     scale = 1.0 / np.sqrt(params.model_dim)
     half = _band_half_width(params, lengths)
     for block in params.blocks:
-        h_in = h
-        u = h_in @ block.weight.T + block.bias
-        v = _nonlin(u, params.nonlin)
-        record = {"h_in": h_in, "u": u, "v": v}
+        v = _nonlin(_affine(h, block.weight, block.bias), params.nonlin)
+        if record:
+            cache["blocks"].append({"h_in": h, "v": v})
         if block.attention is not None:
             if params.attn_window > 0:
-                out, attn_record = _banded_attention(v, block.attention, lengths, half, scale)
+                h, attn_record = _banded_attention(
+                    v, block.attention, lengths, half, scale, record
+                )
             else:
-                out, attn_record = _dense_attention(v, block.attention, slices, scale)
-            h = v + out
-            record.update(attn_record)
+                h, attn_record = _dense_attention(v, block.attention, slices, scale, record)
+            h += v
+            if record:
+                cache["blocks"][-1].update(attn_record)
         else:
             h = v
-        cache["blocks"].append(record)
     return h, cache
 
 
 def encoder_forward(features, params: EncoderParams) -> np.ndarray:
     """Hidden states (T, d_model) for already-masked input frames."""
-    return _encoder_forward([features], params)[0]
+    return _encoder_forward([features], params, record=False)[0]
 
 
 def _encoder_backward(dh, params: EncoderParams, cache):
@@ -494,10 +532,14 @@ def _encoder_backward(dh, params: EncoderParams, cache):
             grads[f"encoder.blocks.{i}.attention.wq"] = _summed_products(dq, v, slices)
             grads[f"encoder.blocks.{i}.attention.wk"] = _summed_products(dk, v, slices)
             grads[f"encoder.blocks.{i}.attention.wv"] = _summed_products(dw, v, slices)
-            dv = dh + dq @ block.attention.wq + dk @ block.attention.wk + dw @ block.attention.wv
+            # dh + dq @ wq + dk @ wk + dw @ wv, added in that order
+            dv = dq @ block.attention.wq
+            dv += dh
+            dv += dk @ block.attention.wk
+            dv += dw @ block.attention.wv
         else:
             dv = dh
-        du = dv * _nonlin_deriv(rec["u"], rec["v"], params.nonlin)
+        du = dv * _nonlin_deriv(rec["v"], params.nonlin)
         grads[f"encoder.blocks.{i}.weight"] = _summed_products(du, rec["h_in"], slices)
         grads[f"encoder.blocks.{i}.bias"] = _summed_row_sums(du, slices)
         dh = du @ block.weight
@@ -516,30 +558,33 @@ def compute_logits(hidden, head) -> np.ndarray:
                 f"hidden width {hidden.shape[1]} does not match projection "
                 f"input {head.proj_weight.shape[1]}"
             )
-        proj = hidden @ head.proj_weight.T + head.proj_bias
-        return proj @ head.embeddings.T
+        return _affine(hidden, head.proj_weight, head.proj_bias) @ head.embeddings.T
     if isinstance(head, AffineHead):
         if hidden.shape[1] != head.weight.shape[1]:
             raise DimensionMismatchError(
                 f"hidden width {hidden.shape[1]} does not match head input "
                 f"{head.weight.shape[1]}"
             )
-        return hidden @ head.weight.T + head.bias
+        return _affine(hidden, head.weight, head.bias)
     raise TypeError(f"unknown head type {type(head).__name__}")
 
 
 def pack_forward(model: Model, features) -> tuple[np.ndarray, dict]:
     """Logits (sum T, V+1) of the (T_i, d) utterances in `features`, laid end
-    to end along time, plus the cache needed by pack_backward and unpack."""
-    hidden, cache = _encoder_forward(features, model.encoder)
+    to end along time, plus the cache pack_backward reads: the pack's
+    slices (the rows of each utterance, in pack order), its hidden states
+    and the encoder's backward record. For a caller that reads only the
+    logits, pack_logits runs the same forward and keeps no record."""
+    hidden, cache = _encoder_forward(features, model.encoder, record=True)
     cache["hidden"] = hidden
     return compute_logits(hidden, model.head), cache
 
 
-def unpack(packed: np.ndarray, cache) -> list[np.ndarray]:
-    """Views of the rows of each utterance of a (sum T, ...) array laid out
-    like the pack in a pack_forward cache, in pack order."""
-    return [packed[s] for s in cache["slices"]]
+def pack_logits(model: Model, features) -> tuple[np.ndarray, list[slice]]:
+    """pack_forward's logits, bit for bit, and the rows of each utterance, in
+    pack order, without the backward record."""
+    hidden, cache = _encoder_forward(features, model.encoder, record=False)
+    return compute_logits(hidden, model.head), cache["slices"]
 
 
 def pack_backward(
@@ -561,7 +606,7 @@ def pack_backward(
     head = model.head
     if isinstance(head, EmbeddingHead):
         # compute_logits's projection, recomputed bit for bit from the same inputs
-        proj = hidden @ head.proj_weight.T + head.proj_bias
+        proj = _affine(hidden, head.proj_weight, head.proj_bias)
         dproj = dlogits @ head.embeddings
         grads = {
             "head.embeddings": _summed_products(dlogits, proj, slices),
@@ -590,7 +635,8 @@ def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
 
 
 def model_logits(model: Model, features) -> np.ndarray:
-    return model_forward(model, features)[0]
+    """Logits (T, V+1) of one utterance, without the backward record."""
+    return pack_logits(model, [features])[0]
 
 
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:

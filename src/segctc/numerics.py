@@ -31,13 +31,29 @@ def log_sum_exp(values) -> float:
     return m + float(np.log(np.sum(np.exp(arr - m))))
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """Each row's maximum of the 2-D `a` as a (rows, 1) column: the values of
+    a.max(axis=1, keepdims=True), NaN where a row holds NaN.
+
+    numpy reduces each short row of `a` on its own; down the columns of a
+    transposed contiguous copy the reduction is one pass, several times
+    cheaper on an (800, 7) attention band or (800, 21) logits. Where a row's
+    maximum is zero, its sign may differ from a.max's; subtracting a zero of
+    either sign from a nonzero value, or taking exp of it, gives the same bits.
+    """
+    return np.ascontiguousarray(a.T).max(axis=0)[:, None]
+
+
 def log_softmax(logits, axis: int = -1) -> np.ndarray:
     """logits minus their log-sum-exp along `axis`.
 
     exp of the result sums to 1 along `axis` to double-precision roundoff.
     """
     arr = np.asarray(logits, dtype=float)
-    m = np.max(arr, axis=axis, keepdims=True)
+    if arr.ndim == 2 and axis in (1, -1):
+        m = row_max(arr)
+    else:
+        m = np.max(arr, axis=axis, keepdims=True)
     shifted = arr - m
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -22,6 +23,7 @@ from segctc import (
     seeded_rng,
 )
 from segctc.analysis import format_report, report_tsv
+from segctc.model import pack_forward
 
 CFG = CorpusConfig(
     utterances=4, frames=30, vocab=5, feature_dim=4, sigma=0.3, seed=9
@@ -91,6 +93,26 @@ class TestAvgPosterior:
         with pytest.raises(DimensionMismatchError):
             avg_posterior(make_model(), utts)
         with pytest.raises(DimensionMismatchError):
+            compare_models(make_model(), make_model(seed=1), clean.utterances, utts)
+
+    @pytest.mark.parametrize("change", [-5, 3], ids=["short", "long"])
+    def test_reference_not_covering_its_utterance(self, change, monkeypatch):
+        # A pack gathers all its utterances' references at once, so a short
+        # reference would shift every later utterance's; it is refused, named,
+        # before any forward runs.
+        clean, jittered = eval_split(CFG, 4)
+        utts = list(jittered.utterances)
+        noisy = utts[2].noisy_ids
+        noisy = noisy[:change] if change < 0 else np.concatenate([noisy, noisy[:change]])
+        utts[2] = replace(utts[2], noisy_ids=noisy)
+
+        def no_forward(model, features):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(segctc.analysis, "pack_logits", no_forward)
+        with pytest.raises(DimensionMismatchError, match="utterance 2 "):
+            avg_posterior(make_model(), utts)
+        with pytest.raises(DimensionMismatchError, match="utterance 2 "):
             compare_models(make_model(), make_model(seed=1), clean.utterances, utts)
 
 
@@ -229,14 +251,14 @@ class TestSharedForward:
     def test_forward_count(self, monkeypatch):
         forwarded = Counter()
         pack_sizes = []
-        forward = segctc.analysis.pack_forward
+        forward = segctc.analysis.pack_logits
 
         def counting(model, features):
             forwarded[id(model)] += len(features)
             pack_sizes.append(len(features))
             return forward(model, features)
 
-        monkeypatch.setattr(segctc.analysis, "pack_forward", counting)
+        monkeypatch.setattr(segctc.analysis, "pack_logits", counting)
         clean, jittered = eval_split(CFG, 17)
         ce, ctc = make_model(seed=6), make_model(seed=7)
         n = len(clean.utterances)
@@ -248,6 +270,41 @@ class TestSharedForward:
         compare_models(ce, ctc, clean.utterances, perturbed(jittered.utterances))
         assert forwarded == {id(ce): 2 * n, id(ctc): 2 * n}
         assert max(pack_sizes) <= 8
+
+    def test_keeps_no_backward_record(self):
+        # A pack of 8 at the default shape. After the call pack_logits holds
+        # its logits alone (0.14 MB) and pack_forward its logits and backward
+        # record (2.6 MB); during the call they peak at 1.3 and 2.7 MB.
+        model = init_model(
+            feature_dim=16,
+            model_dim=32,
+            embed_dim=16,
+            vocab=20,
+            n_blocks=2,
+            rng=seeded_rng(0, 2),
+            nonlin="relu",
+            n_pos=8,
+            attn_window=3,
+        )
+        features = [seeded_rng(1, i).normal(size=(100, 16)) for i in range(8)]
+
+        def traced(forward):
+            """(bytes held after the call, peak bytes during it)"""
+            forward(model, features)  # fills the per-length caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = forward(model, features)
+                held, peak = (size - before for size in tracemalloc.get_traced_memory())
+                del result
+                return held, peak
+            finally:
+                tracemalloc.stop()
+
+        held, peak = traced(segctc.analysis.pack_logits)
+        record_held, record_peak = traced(pack_forward)
+        assert held <= 0.15 * record_held
+        assert peak <= 0.6 * record_peak
 
 
 def loop_posterior(model, utterances):

@@ -30,14 +30,20 @@ from segctc import (
 from segctc.model import (
     _encoder_backward,
     _encoder_forward,
-    _nonlin,
-    _nonlin_deriv,
     pack_backward,
     pack_forward,
-    unpack,
+    pack_logits,
 )
 
 RTOL = 1e-12
+
+
+def reference_nonlin(u, kind):
+    return np.tanh(u) if kind == "tanh" else np.maximum(u, 0.0)
+
+
+def reference_nonlin_deriv(u, kind):
+    return 1.0 - np.tanh(u) ** 2 if kind == "tanh" else (u > 0.0).astype(float)
 
 
 def reference_forward(x, params):
@@ -51,7 +57,7 @@ def reference_forward(x, params):
     for block in params.blocks:
         h_in = h
         u = h_in @ block.weight.T + block.bias
-        v = _nonlin(u, params.nonlin)
+        v = reference_nonlin(u, params.nonlin)
         record = {"h_in": h_in, "u": u, "v": v}
         if block.attention is not None:
             q = v @ block.attention.wq.T
@@ -89,7 +95,7 @@ def reference_backward(dh, params, cache):
             dv = dh + dq @ block.attention.wq + dk @ block.attention.wk + dw @ block.attention.wv
         else:
             dv = dh
-        du = dv * _nonlin_deriv(rec["u"], rec["v"], params.nonlin)
+        du = dv * reference_nonlin_deriv(rec["u"], params.nonlin)
         grads[f"encoder.blocks.{i}.weight"] = du.T @ rec["h_in"]
         grads[f"encoder.blocks.{i}.bias"] = du.sum(axis=0)
         dh = du @ block.weight
@@ -133,7 +139,7 @@ def test_band_equals_dense_masked_reference(data):
     x = rng.normal(size=(frames, 3))
     dh = rng.normal(size=(frames, model.encoder.model_dim))
 
-    hidden, cache = _encoder_forward([x], model.encoder)
+    hidden, cache = _encoder_forward([x], model.encoder, record=True)
     ref_hidden, ref_cache = reference_forward(x, model.encoder)
     assert_close(compute_logits(hidden, model.head), compute_logits(ref_hidden, model.head))
     grads, dx = _encoder_backward(dh, model.encoder, cache)
@@ -145,7 +151,7 @@ def test_band_equals_dense_masked_reference(data):
 
 
 def cache_attention(model, x):
-    return _encoder_forward([x], model.encoder)[1]["blocks"][0]["att"]
+    return _encoder_forward([x], model.encoder, record=True)[1]["blocks"][0]["att"]
 
 
 def test_window_zero_is_full_attention():
@@ -247,7 +253,8 @@ def test_pack_equals_per_utterance(data):
     exact = same_band and (min(lengths) > 1 or len(lengths) == 1)
     check = np.testing.assert_array_equal if exact else assert_close
     want = {}
-    for x, got_logits, dl, rows in zip(features, unpack(logits, cache), dlogits, masked_rows):
+    packed = [logits[s] for s in cache["slices"]]
+    for x, got_logits, dl, rows in zip(features, packed, dlogits, masked_rows):
         want_logits, one = model_forward(model, x)
         check(got_logits, want_logits)
         for name, grad in model_backward(model, one, dl, masked_rows=rows).items():
@@ -259,7 +266,7 @@ def test_pack_equals_per_utterance(data):
     if window == 0:
         return
     dh = rng.normal(size=(sum(lengths), model.encoder.model_dim))
-    hidden, cache = _encoder_forward(features, model.encoder)
+    hidden, cache = _encoder_forward(features, model.encoder, record=True)
     encoder_grads, dx = _encoder_backward(dh, model.encoder, cache)
     first = 0
     ref_sums = {}
@@ -276,3 +283,43 @@ def test_pack_equals_per_utterance(data):
     for name, ref in ref_sums.items():
         assert_close(encoder_grads[name], ref)
 
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_pack_logits_equal_pack_forward(data):
+    """The record-free forward gives pack_forward's logits bit for bit, and
+    NaN exactly where they are NaN, also from feature rows holding NaN or inf
+    (which reach their neighbours through the band: 0 * inf)."""
+    lengths = data.draw(st.lists(st.integers(1, 24), min_size=1, max_size=9), label="lengths")
+    window = data.draw(st.sampled_from([0, 1, 3]), label="window")
+    nonlin = data.draw(st.sampled_from(["tanh", "relu"]), label="nonlin")
+    flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=3), label="attention")
+    affine = data.draw(st.booleans(), label="affine head")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    poison = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.integers(0, 23),
+                st.integers(0, 2),
+                st.sampled_from([np.nan, np.inf, -np.inf]),
+            ),
+            max_size=3,
+        ),
+        label="non-finite features",
+    )
+    model = pack_model(seed, window, flags, nonlin, affine)
+    rng = seeded_rng(seed, 67)
+    features = [rng.normal(size=(frames, 3)) for frames in lengths]
+    for utterance, row, column, value in poison:
+        x = features[utterance % len(features)]
+        x[row % x.shape[0], column] = value
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        logits, slices = pack_logits(model, features)
+        want, cache = pack_forward(model, features)
+    assert slices == cache["slices"]
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(logits), nan)
+    np.testing.assert_array_equal(logits.view(np.int64)[~nan], want.view(np.int64)[~nan])
