@@ -32,11 +32,10 @@ model_forward and model_backward are the pack of one.
 One encoder forward serves two callers. pack_forward keeps the backward
 record (the joined input, each block's input and output, the padded q, k,
 w and band weights) for pack_backward. pack_logits (the analysis and
-model_logits) and encoder_forward read only the output and keep none: each
-intermediate is freed with its block, and only k and w, which the band reads
-through windows, are padded. Both modes write each step into the array it
-produces (bias, nonlinearity, residual) and give the same output bit for
-bit. A nonlinearity's derivative is read from its output alone.
+model_logits) and encoder_forward run the same steps and keep none: each
+intermediate is freed with its block. Both modes write each step into the
+array it produces (bias, nonlinearity, residual) and give the same output
+bit for bit. A nonlinearity's derivative is read from its output alone.
 
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
@@ -83,7 +82,7 @@ import numpy as np
 
 from .codec import F32, F64, U32, FileReader, write_file
 from .errors import DimensionMismatchError, VersionMismatchError
-from .numerics import row_max
+from .numerics import axis_max
 
 CHECKPOINT_MAGIC = b"SCTC"
 CHECKPOINT_VERSION = 1
@@ -289,10 +288,8 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def _join(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays concatenated along time; a pack of one is not copied. (The
-    copy and its freed source left glibc's heap top where every analysis
-    forward after it grew and trimmed the heap: ~155 minor page faults per
-    `cmd_analyze` call.)"""
+    """The arrays concatenated along time; a pack of one reads its cached
+    array itself, uncopied."""
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
@@ -378,24 +375,20 @@ def _padded_matmul(v: np.ndarray, weight: np.ndarray, half: int) -> np.ndarray:
 def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float, record: bool):
     """Attention restricted to |i - j| <= half within each utterance of the
     pack, computed on the (sum T, 2*half+1) band only. Returns the attention
-    output and, with `record`, the backward's record, whose q, k, w and att
-    are padded by `half` zero rows on each side (else None, and only k and
-    w, which the band reads through windows, are padded)."""
+    output and, with `record`, the backward's record (else None), whose q,
+    k, w and att are padded by `half` zero rows on each side."""
     frames = v.shape[0]
     width = 2 * half + 1
+    rows = slice(half, half + frames)
+    q = _padded_matmul(v, attn.wq, half)
     k = _padded_matmul(v, attn.wk, half)
     w = _padded_matmul(v, attn.wv, half)
-    if record:
-        rows = slice(half, half + frames)
-        q = _padded_matmul(v, attn.wq, half)
-        att_padded = np.zeros((frames + 2 * half, width))
-        queries, att = q[rows], att_padded[rows]
-    else:
-        queries, att = v @ attn.wq.T, np.empty((frames, width))
-    np.einsum("td,tod->to", queries, _windows(k, frames, width), out=att)
+    att_padded = np.zeros((frames + 2 * half, width))
+    att = att_padded[rows]
+    np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
     att *= scale
     att += _join([_band_pad(frames, half) for frames in lengths])
-    att -= row_max(att)
+    att -= axis_max(att, 1)
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
     out = _band_contract(att, _windows(w, frames, width))

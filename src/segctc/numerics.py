@@ -31,17 +31,19 @@ def log_sum_exp(values) -> float:
     return m + float(np.log(np.sum(np.exp(arr - m))))
 
 
-def row_max(a: np.ndarray) -> np.ndarray:
-    """Each row's maximum of the 2-D `a` as a (rows, 1) column: the values of
-    a.max(axis=1, keepdims=True), NaN where a row holds NaN.
+def axis_max(a: np.ndarray, axis: int) -> np.ndarray:
+    """The values of a.max(axis=axis, keepdims=True), NaN where a lane along
+    `axis` holds NaN.
 
-    numpy reduces each short row of `a` on its own; down the columns of a
-    transposed contiguous copy the reduction is one pass, several times
-    cheaper on an (800, 7) attention band or (800, 21) logits. Where a row's
-    maximum is zero, its sign may differ from a.max's; subtracting a zero of
-    either sign from a nonzero value, or taking exp of it, gives the same bits.
+    numpy reduces each short row of a 2-D array along axis 1 on its own; down
+    the leading axis of a contiguous copy with `axis` swapped first the
+    reduction is one pass, several times cheaper on an (800, 7) attention
+    band or (800, 21) logits. Where a maximum is zero, its sign may differ
+    from a.max's; subtracting a zero of either sign from a nonzero value, or
+    taking exp of it, gives the same bits.
     """
-    return np.ascontiguousarray(a.T).max(axis=0)[:, None]
+    swapped = np.ascontiguousarray(a.swapaxes(0, axis))
+    return swapped.max(axis=0, keepdims=True).swapaxes(0, axis)
 
 
 def log_softmax(logits, axis: int = -1) -> np.ndarray:
@@ -50,11 +52,7 @@ def log_softmax(logits, axis: int = -1) -> np.ndarray:
     exp of the result sums to 1 along `axis` to double-precision roundoff.
     """
     arr = np.asarray(logits, dtype=float)
-    if arr.ndim == 2 and axis in (1, -1):
-        m = row_max(arr)
-    else:
-        m = np.max(arr, axis=axis, keepdims=True)
-    shifted = arr - m
+    shifted = arr - axis_max(arr, axis)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 

@@ -19,7 +19,7 @@ from segctc import (
     gen_corpus,
     init_model,
     log_softmax,
-    model_logits,
+    model_forward,
     seeded_rng,
 )
 from segctc.analysis import format_report, report_tsv
@@ -308,11 +308,12 @@ class TestSharedForward:
 
 
 def loop_posterior(model, utterances):
-    """avg_posterior as one model_logits and one log_softmax per utterance."""
+    """avg_posterior as one model_forward (the training forward, which keeps
+    the backward record) and one log_softmax per utterance."""
     total = 0.0
     frames = 0
     for utt in utterances:
-        log_probs = log_softmax(model_logits(model, utt.features), axis=1)
+        log_probs = log_softmax(model_forward(model, utt.features)[0], axis=1)
         ref = utt.noisy_ids
         total += float(np.exp(log_probs[np.arange(ref.size), ref]).sum())
         frames += ref.size
