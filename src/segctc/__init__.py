@@ -47,7 +47,6 @@ from .model import (
     load_checkpoint,
     model_backward,
     model_forward,
-    model_logits,
     named_params,
     position_channels,
     read_blank_params,

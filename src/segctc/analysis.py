@@ -72,20 +72,18 @@ def _avg_posteriors(model: Model, features, ref_sets) -> list[float]:
     return [total / ids.size for total, ids in zip(totals, joined)]
 
 
-def avg_posterior(model: Model, utterances, refs: str = "noisy") -> float:
-    """Frame-weighted mean probability assigned to each frame's reference id.
+def avg_posterior(model: Model, utterances) -> float:
+    """Frame-weighted mean probability assigned to each frame's noisy id.
 
-    The model runs on unmasked inputs. References are the utterances' noisy
-    ids by default ("true" selects the ground-truth ids); blank is never a
-    reference but stays in the softmax normalization. A reference id outside
-    [0, V) of the model, or an utterance whose references do not number its
-    frames, raises DimensionMismatchError.
+    The model runs on unmasked inputs; blank is never a reference but stays
+    in the softmax normalization. To score against the ground-truth ids, pass
+    `clean_references(corpus).utterances`. A reference id outside [0, V) of
+    the model, or an utterance whose references do not number its frames,
+    raises DimensionMismatchError.
     """
-    if refs not in ("noisy", "true"):
-        raise ValueError(f"refs must be 'noisy' or 'true', got {refs!r}")
     utterances = list(utterances)
-    ids = [utt.noisy_ids if refs == "noisy" else utt.true_ids for utt in utterances]
-    return _avg_posteriors(model, [utt.features for utt in utterances], [ids])[0]
+    features = [utt.features for utt in utterances]
+    return _avg_posteriors(model, features, [[utt.noisy_ids for utt in utterances]])[0]
 
 
 def degradation_report(clean_prob: float, degraded_prob: float) -> PosteriorReport:

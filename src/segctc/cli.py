@@ -109,6 +109,15 @@ class ExperimentConfig:
             raise ConfigError(f"nonlin must be one of {sorted(NONLIN_CODES)}, got {self.nonlin!r}")
         if self.n_pos % 2:
             raise ConfigError(f"n_pos must be even, got {self.n_pos}")
+        # numpy refuses a float64 array of 2^60 elements (2^63 bytes) or more
+        # before it allocates anything: here a generated corpus's features or
+        # class means, or a weight of the encoder or the head.
+        for names, rows, width in (
+            ("frames, vocab, feature_dim", max(self.frames, self.vocab), self.feature_dim),
+            ("d_model, n_pos, d_embed", self.d_model, max(self.d_model, self.n_pos, self.d_embed)),
+        ):
+            if rows * width >= 2**60:
+                raise ConfigError(f"{names} size a {rows} x {width} array, beyond numpy's largest")
 
     def corpus_config(self) -> CorpusConfig:
         fields = dataclasses.fields(CorpusConfig)
@@ -370,6 +379,8 @@ _ERROR_CATEGORIES = [
     ((DimensionMismatchError, ShapeMismatchError, LengthMismatchError), "data", 6),
     (EmptyDatasetError, "data", 6),
     ((FileNotFoundError, IsADirectoryError, PermissionError, OSError), "io", 3),
+    # sizes that pass validation but ask for more memory than there is
+    (MemoryError, "config", 2),
 ]
 
 

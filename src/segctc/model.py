@@ -31,11 +31,11 @@ model_forward and model_backward are the pack of one.
 
 One encoder forward serves two callers. pack_forward keeps the backward
 record (the joined input, each block's input and output, the padded q, k,
-w and band weights) for pack_backward. pack_logits (the analysis and
-model_logits) and encoder_forward run the same steps and keep none: each
-intermediate is freed with its block. Both modes write each step into the
-array it produces (bias, nonlinearity, residual) and give the same output
-bit for bit. A nonlinearity's derivative is read from its output alone.
+w and band weights) for pack_backward. pack_logits (the analysis) and
+encoder_forward run the same steps and keep none: each intermediate is freed
+with its block. Both modes write each step into the array it produces (bias,
+nonlinearity, residual) and give the same output bit for bit. A
+nonlinearity's derivative is read from its output alone.
 
 The pretraining head scores hidden states against per-class embeddings,
 logits[t, k] = E_k . (W h_t + b), with the blank class at the last index.
@@ -287,12 +287,6 @@ def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return out
 
 
-def _join(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays concatenated along time; a pack of one reads its cached
-    array itself, uncopied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 @lru_cache(maxsize=256)
 def _position_table(frames: int, n_pos: int) -> np.ndarray:
     """position_channels(frames, n_pos), computed once per utterance length
@@ -387,7 +381,7 @@ def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float
     att = att_padded[rows]
     np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
     att *= scale
-    att += _join([_band_pad(frames, half) for frames in lengths])
+    att += np.concatenate([_band_pad(frames, half) for frames in lengths])
     att -= axis_max(att, 1)
     np.exp(att, out=att)
     att /= att.sum(axis=1, keepdims=True)
@@ -625,11 +619,6 @@ def pack_backward(
 def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
     """Logits (T, V+1) of one utterance plus the cache needed by model_backward."""
     return pack_forward(model, [features])
-
-
-def model_logits(model: Model, features) -> np.ndarray:
-    """Logits (T, V+1) of one utterance, without the backward record."""
-    return pack_logits(model, [features])[0]
 
 
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:

@@ -4,12 +4,14 @@ Three objectives share one (V+1)-way output head: frame-level cross-entropy on
 masked frames, segment-wise CTC per masked region against deduplicated
 targets, and their convex combination. CE is normalized by masked-frame count
 and CTC by total target-token count, per utterance, so the two terms have
-comparable magnitude. A pack is the (sum T, V+1) log-probabilities of a
-batch's utterances end to end, with one MaskSpec each: the masked regions are
-row ranges of the pack and share one CTC call, CE is one gather over the
-masked rows, and each utterance's normalizer divides its own rows. Gradients
-are with respect to the pre-softmax logits, laid out like the pack, and
-exactly zero on unmasked rows.
+comparable magnitude. The segment-CTC term is the one CTC rule of both
+training jobs: finetuning scores each whole utterance as a single region. A
+pack is the (sum T, V+1) log-probabilities of a batch's utterances end to
+end, with one MaskSpec each: the masked regions are row ranges of the pack
+and share one CTC call, CE is one gather over the masked rows, and each
+utterance's normalizer divides its own rows. Gradients are with respect to
+the pre-softmax logits, laid out like the pack, and exactly zero on unmasked
+rows.
 """
 
 from __future__ import annotations
@@ -94,10 +96,16 @@ def _masked_ce_terms(log_probs, ids, specs, with_grad: bool):
     return losses, grad
 
 
-def _masked_ctc_terms(log_probs, ids, specs, with_grad: bool):
+def segment_ctc_terms(log_probs, ids, specs, with_grad: bool):
     """Each utterance's token-normalized segment CTC and target-token count
     and, if `with_grad`, the pack gradient of their sum (else None), from one
-    CTC call over every masked region, shifted to its utterance's rows."""
+    CTC call over every region of every spec, shifted to its utterance's rows.
+
+    The CTC term of both training jobs: pretraining passes the masked regions
+    and the noisy ids, finetuning one whole-utterance region per utterance,
+    MaskSpec(((0, T),), T), and the true ids. `log_probs` is the float
+    (sum T, V+1) pack and `ids` its int frame ids, one per row.
+    """
     frames = [spec.total_frames for spec in specs]
     offsets = np.cumsum([0, *frames[:-1]], dtype=int).tolist()
     regions, targets, tokens = [], [], []
@@ -137,7 +145,7 @@ def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     Returns (0, zero gradient) when there are no masked regions.
     """
     log_probs, ids = _check_pack(log_probs, ids, [spec])
-    (loss,), _, grad = _masked_ctc_terms(log_probs, ids, [spec], with_grad=True)
+    (loss,), _, grad = segment_ctc_terms(log_probs, ids, [spec], with_grad=True)
     return loss, grad
 
 
@@ -155,7 +163,7 @@ def joint_loss_batch(
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     log_probs, ids = _check_pack(log_probs, ids, specs)
-    ctc, tokens, ctc_grad = _masked_ctc_terms(log_probs, ids, specs, alpha > 0.0)
+    ctc, tokens, ctc_grad = segment_ctc_terms(log_probs, ids, specs, alpha > 0.0)
     ce, ce_grad = _masked_ce_terms(log_probs, ids, specs, alpha < 1.0)
     if alpha == 0.0:
         grad = ce_grad

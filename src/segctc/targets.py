@@ -15,8 +15,6 @@ def dedup(ids) -> np.ndarray:
     adjacent pair.
     """
     arr = np.asarray(ids, dtype=int).reshape(-1)
-    if arr.size == 0:
-        return arr.copy()
     keep = np.ones(arr.size, dtype=bool)
     keep[1:] = arr[1:] != arr[:-1]
     return arr[keep]

@@ -8,6 +8,11 @@ packed logit gradient, which returns the gradient of the batch's summed loss,
 reduced in sorted utterance order (segctc.model); the step divides it by the
 batch size. A frozen finetune stops the backward at the head.
 
+Both jobs score CTC through segctc.objectives' segment-CTC term: pretraining
+over the masked regions, finetuning over one whole-utterance region per
+utterance. Each batch gives one LossBreakdown per utterance, and the loop
+alone reduces them to the step's means.
+
 Metrics log format: one line per step, tab-separated
     step  ce  ctc  combined  alpha
 """
@@ -19,15 +24,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .ctc import ctc_loss_packed
 from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, ShapeMismatchError
-from .masking import apply_mask, sample_mask
+from .masking import MaskSpec, apply_mask, sample_mask
 from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint
 from .numerics import left_sum, log_softmax
-from .objectives import LossBreakdown, TrainingMode, effective_alpha, joint_loss_batch
+from .objectives import (
+    LossBreakdown,
+    TrainingMode,
+    effective_alpha,
+    joint_loss_batch,
+    segment_ctc_terms,
+)
 from .seeding import seeded_rng
 from .synthesis import Corpus
-from .targets import dedup
 
 _BATCH_STREAM = 0
 _MASK_STREAM = 1
@@ -166,28 +175,27 @@ def pretrain_loss_and_grads(
     return breakdown, grads
 
 
-def _finetune_batch(model: Model, batch, with_encoder=True) -> tuple[list[float], dict]:
+def _finetune_batch(model: Model, batch, with_encoder=True) -> tuple[list[LossBreakdown], dict]:
     """Token-normalized full-utterance CTC loss of every (features,
     label_ids) item, in item order, and the parameter gradients of their sum
-    (the head's alone without `with_encoder`): one packed forward, one CTC
-    call with a region per utterance, and one packed backward."""
-    features = [x for x, _ in batch]
-    logits, cache = pack_forward(model, features)
-    lengths = [len(x) for x in features]
-    ends = np.cumsum(lengths).tolist()
-    regions = [(end - frames, end) for frames, end in zip(lengths, ends)]
-    targets = [dedup(label_ids) for _, label_ids in batch]
-    losses, dlogits = ctc_loss_packed(log_softmax(logits, axis=1), regions, targets, True)
-    tokens = [max(1, target.size) for target in targets]
-    dlogits /= np.repeat(tokens, lengths)[:, None]
+    (the head's alone without `with_encoder`): one packed forward, the
+    segment-CTC term with one whole-utterance region per item, and one
+    packed backward."""
+    if any(len(label_ids) != len(x) for x, label_ids in batch):
+        raise DimensionMismatchError("every utterance needs one label id per frame")
+    logits, cache = pack_forward(model, [x for x, _ in batch])
+    ids = np.concatenate([label_ids for _, label_ids in batch])
+    specs = [MaskSpec(((0, len(x)),), len(x)) for x, _ in batch]
+    losses, tokens, dlogits = segment_ctc_terms(log_softmax(logits, axis=1), ids, specs, True)
     grads = pack_backward(model, cache, dlogits, [None] * len(batch), with_encoder)
-    return [float(loss) / n for loss, n in zip(losses, tokens)], grads
+    # (ce, ctc, combined, masked_frames, target_tokens): CTC alone, nothing masked
+    return [LossBreakdown(0.0, loss, loss, 0, n) for loss, n in zip(losses, tokens)], grads
 
 
 def finetune_loss_and_grads(model: Model, features, label_ids) -> tuple[float, dict]:
     """Token-normalized full-utterance CTC loss (no masking) plus gradients."""
-    (loss,), grads = _finetune_batch(model, [(features, label_ids)])
-    return loss, grads
+    (breakdown,), grads = _finetune_batch(model, [(features, label_ids)])
+    return breakdown.ctc, grads
 
 
 def _clip_grads(grads: dict, max_norm: float) -> None:
@@ -211,18 +219,18 @@ def _non_finite_term(ce: float, ctc: float, alpha: float) -> str | None:
     return None
 
 
-def _non_finite(step, loss, grad_sum, results, indices, alpha, names) -> NonFiniteLossError:
+def _non_finite(step, loss, grad_sum, alone, indices, alpha, names) -> NonFiniteLossError:
     """The error for a step whose mean loss or summed gradient is not finite,
-    from each drawn utterance's (ce, ctc, combined, grads) computed alone: a
-    packed step carries a non-finite value into the neighbouring utterances
+    from each drawn utterance's (breakdowns, grads) computed alone: a packed
+    step carries a non-finite value into the neighbouring utterances
     (0 * inf), so its own per-utterance results cannot name the culprit. It
     names the first utterance whose loss is non-finite and its offending
     term; failing that, the first with a non-finite gradient among `names`."""
-    for idx, (ce, ctc, combined, _) in zip(indices, results):
-        if not np.isfinite(combined):
-            term = _non_finite_term(ce, ctc, alpha)
+    for idx, ((b,), _) in zip(indices, alone):
+        if not np.isfinite(b.combined):
+            term = _non_finite_term(b.ce, b.ctc, alpha)
             return NonFiniteLossError(step, loss, utterance=idx, term=term)
-    for idx, (*_, grads) in zip(indices, results):
+    for idx, (_, grads) in zip(indices, alone):
         if not all(np.isfinite(grads[name]).all() for name in names):
             return NonFiniteLossError(step, grad_sum, utterance=idx, term="grad")
     if np.isfinite(loss):
@@ -231,8 +239,8 @@ def _non_finite(step, loss, grad_sum, results, indices, alpha, names) -> NonFini
 
 
 def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable):
-    """`batch_fn(indices, step, alpha)` returns the (ce, ctc, combined, grads)
-    of the drawn utterances, each summed over them in index order."""
+    """`batch_fn(indices, step, alpha)` returns one LossBreakdown per drawn
+    utterance, in index order, and the gradients of their summed loss."""
     if not corpus.utterances:
         raise ConfigError("corpus is empty")
     n = len(corpus.utterances)
@@ -243,9 +251,10 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
         size = min(cfg.batch_size, n)
         indices = np.sort(batch_rng.choice(n, size=size, replace=False)).tolist()
         alpha = effective_alpha(step, cfg.mode)
-        ce_sum, ctc_sum, combined_sum, grads = batch_fn(indices, step, alpha)
+        breakdowns, grads = batch_fn(indices, step, alpha)
         grads = {name: grads[name] / size for name, _ in trainable}
-        ce_mean, ctc_mean, combined_mean = ce_sum / size, ctc_sum / size, combined_sum / size
+        sums = (left_sum(getattr(b, key) for b in breakdowns) for key in ("ce", "ctc", "combined"))
+        ce_mean, ctc_mean, combined_mean = (total / size for total in sums)
         # A NaN frame no loss term scores can still reach the gradients
         # through 0 * NaN; AdamW would then poison every parameter.
         grad_sum = left_sum(float(g.sum()) for g in grads.values())
@@ -288,9 +297,7 @@ def train(
             mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
             spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
             batch.append((utt.features, utt.noisy_ids, spec))
-        losses, grads = _pretrain_batch(model, batch, alpha)
-        sums = (left_sum(getattr(b, term) for b in losses) for term in ("ce", "ctc", "combined"))
-        return (*sums, grads)
+        return _pretrain_batch(model, batch, alpha)
 
     return _run_loop(
         corpus, cfg, model, batch_fn, log_path, checkpoint_path, named_params(model)
@@ -315,8 +322,7 @@ def finetune(
     def batch_fn(indices, step: int, alpha: float):
         utts = [corpus.utterances[idx] for idx in indices]
         items = [(utt.features, utt.true_ids) for utt in utts]
-        losses, grads = _finetune_batch(model, items, with_encoder=not freeze_encoder)
-        return 0.0, left_sum(losses), left_sum(losses), grads
+        return _finetune_batch(model, items, with_encoder=not freeze_encoder)
 
     trainable = named_params(model)
     if freeze_encoder:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import segctc.cli
 from segctc import ConfigError, load_checkpoint, read_blank_params, save_checkpoint
 from segctc.cli import SCHEMA, ExperimentConfig, build_config, main, parse_config_file
 
@@ -110,10 +111,31 @@ class TestConfigText:
 
     @pytest.mark.parametrize("key", ["d_model", "d_embed", "layers", "n_pos"])
     def test_model_sizes_fit_the_checkpoint_file(self, key):
-        ExperimentConfig(**{key: 2**32 - 2})  # validation only; no model is built
+        # validation only; no model is built. A (d_model, d_model) weight of
+        # 2^60 elements or more is beyond numpy's largest array.
+        ExperimentConfig(**{key: 2**30 - 1 if key == "d_model" else 2**32 - 2})
         message = rf"^{key} must lie in \[\d, 2\^32\), got 4294967296$"
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**{key: 2**32})
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"d_model": 2**30},
+            {"d_model": 2**29, "n_pos": 2**31},
+            {"d_model": 2**29, "d_embed": 2**31},
+            {"feature_dim": 2**29, "frames": 2**31},
+            {"feature_dim": 2**29, "vocab": 2**31},
+        ],
+    )
+    def test_arrays_beyond_numpy_limit_rejected(self, sizes):
+        # Each value is within the file's u32 fields, but the pair sizes a
+        # 2^60-element array, one numpy refuses (ValueError) without trying
+        # to allocate it. The next smaller last value passes (validation only).
+        with pytest.raises(ConfigError, match="beyond numpy's largest$"):
+            ExperimentConfig(**sizes)
+        *others, (key, value) = sizes.items()
+        ExperimentConfig(**dict(others), **{key: value - (2 if key == "n_pos" else 1)})
 
     def test_huge_utterance_count_rejected_from_text(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -206,6 +228,7 @@ INVALID_SETTINGS = [
     "grad_clip=inf",
     "sigma=inf",
     "sigma=1e39",  # finite, but its features overflow the corpus file's float32
+    "d_model=4294967295",  # a u32, but its weights are beyond numpy's largest array
 ]
 
 
@@ -248,6 +271,25 @@ def test_invalid_value_is_config_error_before_any_work(tmp_path, valid_inputs, c
         err = capsys.readouterr().err
         assert err.startswith("error[config]") and key in err, command
         assert list(out.iterdir()) == [], command
+
+
+@pytest.mark.parametrize("command", ["gen-data", "pretrain"])
+def test_allocation_failure_is_config_error(
+    tmp_path, fast_config, valid_inputs, capsys, monkeypatch, command
+):
+    # Sizes that pass validation can still ask for more memory than there
+    # is; the first allocation raises MemoryError, here without allocating.
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array")
+
+    monkeypatch.setattr(segctc.cli, "gen_corpus", no_memory)
+    monkeypatch.setattr(segctc.cli, "init_model", no_memory)
+    args = ["--corpus", str(valid_inputs / "train.corpus")] if command == "pretrain" else []
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(fast_config), *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error[config]: Unable to allocate 298. GiB for an array\n"
+    assert list(out.iterdir()) == []
 
 
 class TestGenData:

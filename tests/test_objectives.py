@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segctc.objectives
 from segctc import (
@@ -8,6 +10,7 @@ from segctc import (
     TrainingMode,
     check_gradient,
     ctc_loss,
+    ctc_loss_and_grad,
     dedup,
     effective_alpha,
     joint_loss,
@@ -17,6 +20,7 @@ from segctc import (
     masked_ctc_loss,
     merge_spans,
 )
+from segctc.objectives import segment_ctc_terms
 
 
 def random_instance(rng, frames=8, vocab=4):
@@ -270,6 +274,38 @@ class TestJointLossBatch:
             assert type(breakdown.masked_frames) is int
             assert type(breakdown.target_tokens) is int
         assert breakdowns[-1].ce == breakdowns[-1].ctc == 0.0
+
+
+@st.composite
+def whole_utterance_packs(draw):
+    """1-6 utterances of 1-30 frames end to end: (log_probs, ids, lengths).
+    Few classes, so the ids run in repeats that deduplication collapses."""
+    vocab = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = sum(lengths)
+    log_probs = log_softmax(rng.normal(scale=2.0, size=(frames, vocab + 1)), axis=1)
+    return log_probs, rng.integers(0, vocab, size=frames), lengths
+
+
+class TestSegmentCtcTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(whole_utterance_packs())
+    def test_whole_utterance_regions_equal_plain_ctc(self, case):
+        # The finetuning use: one region per utterance. Each region's bits are
+        # those of a pack holding it alone, so plain CTC on the utterance's
+        # lattice against its deduplicated ids, over max(1, U), is exact.
+        log_probs, ids, lengths = case
+        specs = [MaskSpec(((0, n),), n) for n in lengths]
+        losses, tokens, grad = segment_ctc_terms(log_probs, ids, specs, with_grad=True)
+        ends = np.cumsum(lengths)
+        for loss, n, end, frames in zip(losses, tokens, ends, lengths):
+            rows = slice(end - frames, end)
+            target = dedup(ids[rows])
+            want, want_grad = ctc_loss_and_grad(log_probs[rows], target)
+            assert n == target.size
+            assert loss == want / max(1, target.size)
+            np.testing.assert_array_equal(grad[rows], want_grad / max(1, target.size))
 
 
 class TestEffectiveAlpha:

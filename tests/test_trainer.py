@@ -599,3 +599,34 @@ class TestFinetune:
         np.testing.assert_array_equal(
             loaded.head.weight, model.head.weight.astype(np.float32)
         )
+
+    def test_labels_of_each_utterance_must_cover_its_frames(self):
+        # One label short in one utterance and one over in the next: the pack
+        # still holds one label per frame, but the labels would shift by a frame.
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        first, second = corpus.utterances[:2]
+        corpus = dataclasses.replace(
+            corpus,
+            utterances=[
+                dataclasses.replace(first, true_ids=first.true_ids[:-1]),
+                dataclasses.replace(
+                    second, true_ids=np.append(second.true_ids, second.true_ids[-1])
+                ),
+            ],
+        )
+        head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(15))
+        model = Model(encoder=tiny_model().encoder, head=head)
+        with pytest.raises(DimensionMismatchError):
+            finetune(corpus, tiny_train_config(steps=1, batch_size=2), model)
+        with pytest.raises(DimensionMismatchError):
+            finetune_loss_and_grads(model, first.features, first.true_ids[:-1])
+
+    def test_non_finite_utterance_reported(self):
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        corpus.utterances[3].features[:] = np.nan
+        head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(16))
+        model = Model(encoder=tiny_model().encoder, head=head)
+        with pytest.raises(NonFiniteLossError) as exc_info:
+            finetune(corpus, tiny_train_config(steps=5, batch_size=6), model)
+        assert (exc_info.value.step, exc_info.value.utterance) == (0, 3)
+        assert exc_info.value.term == "ctc"
