@@ -1,15 +1,20 @@
 """Command-line entry point wiring configs, corpora, training and analysis.
 
 Commands: gen-data, pretrain, finetune, analyze, export-blank. Configuration
-is a flat key=value text file; command-line flags override file values, and
-the effective configuration is echoed into every output directory. Exit code
-is 0 on success, otherwise nonzero with one categorized error line on stderr.
+is a flat key=value text file; command-line flags override file values. This
+module writes every file a command leaves: the trainer and the analysis only
+return their results. For the four commands that read a configuration, `main`
+checks that the output directory exists before any input is read, and echoes
+the effective configuration into it once the command has succeeded. Exit code
+is 0 on success, otherwise nonzero with one categorized error line on stderr;
+a command that fails writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -33,12 +38,13 @@ from .model import (
     init_model,
     load_checkpoint,
     read_blank_params,
+    save_checkpoint,
     write_blank_params,
 )
 from .objectives import TrainingMode
 from .seeding import seeded_rng
 from .synthesis import CorpusConfig, eval_split, gen_corpus, load_corpus, save_corpus
-from .trainer import TrainConfig, finetune, train
+from .trainer import TrainConfig, finetune, format_metrics, train
 
 _MODEL_INIT_STREAM = 2
 _HEAD_INIT_STREAM = 3
@@ -178,7 +184,13 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(config_path, overrides: dict) -> ExperimentConfig:
-    """File values first, then flag overrides (flags win)."""
+    """File values first, then flag overrides (flags win).
+
+    A config whose corpora or encoder blocks alone would need more bytes than
+    this machine's physical memory is refused here, before any work: no single
+    array is too large, so nothing else fails until the OOM killer ends the
+    run. The bound is the host's, so ExperimentConfig does not check it.
+    """
     values = parse_config_file(config_path) if config_path else {}
     for key, value in overrides.items():
         if value is None:
@@ -186,7 +198,19 @@ def build_config(config_path, overrides: dict) -> ExperimentConfig:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = SCHEMA[key](str(value))
-    return ExperimentConfig(**values)
+    cfg = ExperimentConfig(**values)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    # Lower bounds in 8-byte words: float64 features plus two int64 ids per
+    # frame; d_model^2 float64 weights per block, four such with attention.
+    frames = (cfg.utterances + cfg.eval_utterances) * cfg.frames
+    matrices = cfg.layers * (4 if cfg.attention else 1)
+    for names, words in (
+        ("utterances, eval_utterances, frames, feature_dim", frames * (cfg.feature_dim + 2)),
+        ("layers, d_model, attention", matrices * cfg.d_model**2),
+    ):
+        if 8 * words > memory:
+            raise ConfigError(f"{names} need at least {8 * words} bytes; this machine has {memory}")
+    return cfg
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -197,31 +221,23 @@ def config_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_dir(path) -> Path:
-    out = Path(path)
-    if not out.is_dir():
-        raise FileNotFoundError(f"output directory does not exist: {out}")
-    return out
-
-
-def _echo_config(cfg: ExperimentConfig, out_dir: Path) -> None:
-    (out_dir / "effective_config.txt").write_text(config_text(cfg))
-
-
-def cmd_gen_data(cfg: ExperimentConfig, out_dir) -> None:
+def cmd_gen_data(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Write train, eval_clean and eval_jittered corpus files."""
-    out = _require_dir(out_dir)
     train_corpus = gen_corpus(cfg.corpus_config(), stream=0)
     clean, jittered = eval_split(cfg.corpus_config(), cfg.eval_utterances)
-    save_corpus(train_corpus, out / "train.corpus")
-    save_corpus(clean, out / "eval_clean.corpus")
-    save_corpus(jittered, out / "eval_jittered.corpus")
-    _echo_config(cfg, out)
+    save_corpus(train_corpus, out_dir / "train.corpus")
+    save_corpus(clean, out_dir / "eval_clean.corpus")
+    save_corpus(jittered, out_dir / "eval_jittered.corpus")
 
 
-def cmd_pretrain(cfg: ExperimentConfig, corpus_path, out_dir) -> None:
+def _write_run(out_dir: Path, model: Model, metrics) -> None:
+    """A training command's files: its metrics log, then its checkpoint."""
+    (out_dir / "metrics.tsv").write_text(format_metrics(metrics))
+    save_checkpoint(model, out_dir / "checkpoint.bin")
+
+
+def cmd_pretrain(cfg: ExperimentConfig, corpus_path, out_dir: Path) -> None:
     """Train a fresh model on a corpus's noisy ids; write checkpoint and log."""
-    out = _require_dir(out_dir)
     corpus = load_corpus(corpus_path)
     model = init_model(
         feature_dim=corpus.feature_dim,
@@ -235,26 +251,18 @@ def cmd_pretrain(cfg: ExperimentConfig, corpus_path, out_dir) -> None:
         n_pos=cfg.n_pos,
         attn_window=cfg.attn_window,
     )
-    train(
-        corpus,
-        cfg.train_config(),
-        model,
-        log_path=out / "metrics.tsv",
-        checkpoint_path=out / "checkpoint.bin",
-    )
-    _echo_config(cfg, out)
+    _write_run(out_dir, *train(corpus, cfg.train_config(), model))
 
 
 def cmd_finetune(
     cfg: ExperimentConfig,
     checkpoint_path,
     corpus_path,
-    out_dir,
+    out_dir: Path,
     blank_path=None,
     freeze_encoder: bool = False,
 ) -> None:
     """CTC finetuning with a fresh affine head over the corpus's label vocab."""
-    out = _require_dir(out_dir)
     pretrained = load_checkpoint(checkpoint_path)
     corpus = load_corpus(corpus_path)
     if corpus.feature_dim != pretrained.encoder.feature_dim:
@@ -270,20 +278,12 @@ def cmd_finetune(
         rng=seeded_rng(cfg.seed, _HEAD_INIT_STREAM),
     )
     model = Model(encoder=pretrained.encoder, head=head)
-    finetune(
-        corpus,
-        cfg.train_config(),
-        model,
-        freeze_encoder=freeze_encoder,
-        log_path=out / "metrics.tsv",
-        checkpoint_path=out / "checkpoint.bin",
-    )
-    _echo_config(cfg, out)
+    run = finetune(corpus, cfg.train_config(), model, freeze_encoder=freeze_encoder)
+    _write_run(out_dir, *run)
 
 
-def cmd_analyze(ce_checkpoint, ctc_checkpoint, clean_path, jittered_path, out_dir) -> str:
+def cmd_analyze(ce_checkpoint, ctc_checkpoint, clean_path, jittered_path, out_dir: Path) -> str:
     """Compare posterior degradation of two checkpoints; returns the report text."""
-    out = _require_dir(out_dir)
     ce_model = load_checkpoint(ce_checkpoint)
     ctc_model = load_checkpoint(ctc_checkpoint)
     clean = load_corpus(clean_path)
@@ -305,8 +305,8 @@ def cmd_analyze(ce_checkpoint, ctc_checkpoint, clean_path, jittered_path, out_di
         ce_model, ctc_model, clean.utterances, jittered.utterances
     )
     text = format_report(ce_report, ctc_report, verdict)
-    (out / "report.txt").write_text(text)
-    (out / "report.tsv").write_text(report_tsv(ce_report, ctc_report, verdict))
+    (out_dir / "report.txt").write_text(text)
+    (out_dir / "report.tsv").write_text(report_tsv(ce_report, ctc_report, verdict))
     return text
 
 
@@ -394,34 +394,34 @@ def _categorize(exc: Exception) -> tuple[str, int]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command != "export-blank":
-            flags = {key: value for key, value in vars(args).items() if key in SCHEMA}
-            cfg = build_config(args.config, flags)
+        if args.command == "export-blank":
+            cmd_export_blank(args.checkpoint, args.out)
+            return 0
+        flags = {key: value for key, value in vars(args).items() if key in SCHEMA}
+        cfg = build_config(args.config, flags)
+        out = Path(args.out)
+        if not out.is_dir():
+            raise FileNotFoundError(f"output directory does not exist: {out}")
+        report = ""  # only analyze prints a report, after the echo
         if args.command == "gen-data":
-            cmd_gen_data(cfg, args.out)
+            cmd_gen_data(cfg, out)
         elif args.command == "pretrain":
-            cmd_pretrain(cfg, args.corpus, args.out)
+            cmd_pretrain(cfg, args.corpus, out)
         elif args.command == "finetune":
             cmd_finetune(
                 cfg,
                 args.checkpoint,
                 args.corpus,
-                args.out,
+                out,
                 blank_path=args.load_blank,
                 freeze_encoder=args.freeze_encoder,
             )
-        elif args.command == "analyze":
-            text = cmd_analyze(
-                args.ce_checkpoint,
-                args.ctc_checkpoint,
-                args.eval_clean,
-                args.eval_jittered,
-                args.out,
+        else:
+            report = cmd_analyze(
+                args.ce_checkpoint, args.ctc_checkpoint, args.eval_clean, args.eval_jittered, out
             )
-            _echo_config(cfg, Path(args.out))
-            sys.stdout.write(text)
-        elif args.command == "export-blank":
-            cmd_export_blank(args.checkpoint, args.out)
+        (out / "effective_config.txt").write_text(config_text(cfg))
+        sys.stdout.write(report)
     except Exception as exc:  # noqa: BLE001 - single reporting point for the CLI
         category, code = _categorize(exc)
         print(f"error[{category}]: {exc}", file=sys.stderr)

@@ -187,8 +187,6 @@ def position_channels(total_frames: int, n_pos: int) -> np.ndarray:
     if n_pos % 2 != 0:
         raise ValueError("n_pos must be even")
     out = np.empty((total_frames, n_pos))
-    if n_pos == 0:
-        return out
     t = np.arange(total_frames, dtype=float)[:, None]
     inv_freq = POSITION_BASE ** (-2.0 * np.arange(n_pos // 2, dtype=float) / n_pos)
     angles = t * inv_freq[None, :]

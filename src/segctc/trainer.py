@@ -13,7 +13,10 @@ over the masked regions, finetuning over one whole-utterance region per
 utterance. Each batch gives one LossBreakdown per utterance, and the loop
 alone reduces them to the step's means.
 
-Metrics log format: one line per step, tab-separated
+`train` and `finetune` update the model in place and return it with one
+StepMetrics per step; they write no file. `format_metrics` renders the
+metrics log, which segctc.cli writes as metrics.tsv: one line per step,
+tab-separated
     step  ce  ctc  combined  alpha
 """
 
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, ShapeMismatchError
 from .masking import MaskSpec, apply_mask, sample_mask
-from .model import Model, named_params, pack_backward, pack_forward, save_checkpoint
+from .model import Model, named_params, pack_backward, pack_forward
 from .numerics import left_sum, log_softmax
 from .objectives import (
     LossBreakdown,
@@ -238,7 +241,7 @@ def _non_finite(step, loss, grad_sum, alone, indices, alpha, names) -> NonFinite
     return NonFiniteLossError(step, loss)
 
 
-def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable):
+def _run_loop(corpus, cfg, batch_fn, trainable) -> list[StepMetrics]:
     """`batch_fn(indices, step, alpha)` returns one LossBreakdown per drawn
     utterance, in index order, and the gradients of their summed loss."""
     if not corpus.utterances:
@@ -272,22 +275,10 @@ def _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable
         )
         adam_step(trainable, grads, state, hyper)
         metrics.append(StepMetrics(step, ce_mean, ctc_mean, combined_mean, alpha))
-    if log_path is not None:
-        with open(log_path, "w") as fh:
-            fh.write(format_metrics(metrics))
-    if checkpoint_path is not None:
-        save_checkpoint(model, checkpoint_path)
-    return model, metrics
+    return metrics
 
 
-def train(
-    corpus: Corpus,
-    cfg: TrainConfig,
-    model: Model,
-    *,
-    log_path=None,
-    checkpoint_path=None,
-):
+def train(corpus: Corpus, cfg: TrainConfig, model: Model):
     """Masked pretraining on the corpus's noisy ids under the configured mode."""
 
     def batch_fn(indices, step: int, alpha: float):
@@ -299,20 +290,10 @@ def train(
             batch.append((utt.features, utt.noisy_ids, spec))
         return _pretrain_batch(model, batch, alpha)
 
-    return _run_loop(
-        corpus, cfg, model, batch_fn, log_path, checkpoint_path, named_params(model)
-    )
+    return model, _run_loop(corpus, cfg, batch_fn, named_params(model))
 
 
-def finetune(
-    corpus: Corpus,
-    cfg: TrainConfig,
-    model: Model,
-    *,
-    freeze_encoder: bool = False,
-    log_path=None,
-    checkpoint_path=None,
-):
+def finetune(corpus: Corpus, cfg: TrainConfig, model: Model, *, freeze_encoder: bool = False):
     """Full-utterance CTC training against deduplicated true ids (no masking).
 
     With freeze_encoder only the head is updated. Metrics reuse the pretraining
@@ -328,4 +309,4 @@ def finetune(
     if freeze_encoder:
         trainable = [(name, p) for name, p in trainable if name.startswith("head.")]
     cfg = replace(cfg, mode=TrainingMode(alpha=1.0, ce_warmup_steps=0))
-    return _run_loop(corpus, cfg, model, batch_fn, log_path, checkpoint_path, trainable)
+    return model, _run_loop(corpus, cfg, batch_fn, trainable)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import segctc.cli
+import segctc.trainer
 from segctc import ConfigError, load_checkpoint, read_blank_params, save_checkpoint
 from segctc.cli import SCHEMA, ExperimentConfig, build_config, main, parse_config_file
 
@@ -229,6 +230,11 @@ INVALID_SETTINGS = [
     "sigma=inf",
     "sigma=1e39",  # finite, but its features overflow the corpus file's float32
     "d_model=4294967295",  # a u32, but its weights are beyond numpy's largest array
+    # u32s that size no single array, but whose encoder blocks or corpora alone
+    # need terabytes, more than the host's memory: refused before any allocation
+    "layers=4294967295",
+    "utterances=4294967295",
+    "eval_utterances=4294967295",
 ]
 
 
@@ -292,6 +298,30 @@ def test_allocation_failure_is_config_error(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_non_finite_loss_writes_nothing(
+    tmp_path, fast_config, valid_inputs, capsys, monkeypatch, command
+):
+    # Every utterance's loss turns NaN: the run stops at the first step, and
+    # neither the run's files nor the echoed config are written.
+    batch_name = f"_{command}_batch"
+    real = getattr(segctc.trainer, batch_name)
+
+    def nan_batch(*args, **kwargs):
+        breakdowns, grads = real(*args, **kwargs)
+        return [dataclasses.replace(b, combined=math.nan) for b in breakdowns], grads
+
+    monkeypatch.setattr(segctc.trainer, batch_name, nan_batch)
+    args = ["--corpus", str(valid_inputs / "train.corpus")]
+    if command == "finetune":
+        args += ["--checkpoint", str(valid_inputs / "checkpoint.bin")]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(fast_config), *args, "--out", str(out)]) == 5
+    assert capsys.readouterr().err.startswith("error[numeric]: non-finite loss nan at step 0,")
+    assert list(out.iterdir()) == []
+
+
 class TestGenData:
     def test_writes_three_corpora_and_echoes_config(self, tmp_path, fast_config):
         out = tmp_path / "data"
@@ -321,10 +351,19 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
         assert sha(out / "eval_clean.corpus") == sha(out / "eval_jittered.corpus")
 
-    def test_missing_out_dir_is_io_error(self, tmp_path, fast_config, capsys):
+    @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "analyze"])
+    def test_missing_out_dir_is_io_error(self, tmp_path, fast_config, capsys, command):
+        # The inputs are missing too: the output directory is checked first.
+        inputs = {
+            "gen-data": [],
+            "pretrain": ["--corpus"],
+            "finetune": ["--checkpoint", "--corpus"],
+            "analyze": ["--ce-checkpoint", "--ctc-checkpoint", "--eval-clean", "--eval-jittered"],
+        }[command]
+        absent = [arg for flag in inputs for arg in (flag, str(tmp_path / flag[2:]))]
         missing = tmp_path / "nope"
-        code = main(["gen-data", "--config", str(fast_config), "--out", str(missing)])
-        assert code == 3
+        argv = [command, "--config", str(fast_config), *absent, "--out", str(missing)]
+        assert main(argv) == 3
         err = capsys.readouterr().err
         assert "error[io]" in err
         assert str(missing) in err

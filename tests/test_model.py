@@ -288,9 +288,10 @@ class TestBlankFileIO:
 
 class TestPositionChannels:
     def test_shape_and_range(self):
-        pos = position_channels(50, 8)
-        assert pos.shape == (50, 8)
-        assert np.all(np.abs(pos) <= 1.0)
+        for n_pos in (8, 0):
+            pos = position_channels(50, n_pos)
+            assert pos.shape == (50, n_pos)
+            assert np.all(np.abs(pos) <= 1.0)
 
     def test_rows_distinguish_positions(self):
         pos = position_channels(100, 8)

@@ -30,6 +30,7 @@ from segctc import (
     named_params,
     pretrain_loss_and_grads,
     sample_mask,
+    save_checkpoint,
     seeded_rng,
     train,
 )
@@ -186,13 +187,9 @@ class TestTrain:
         for tag in ("a", "b"):
             log = tmp_path / f"{tag}.tsv"
             ckpt = tmp_path / f"{tag}.bin"
-            train(
-                corpus,
-                tiny_train_config(steps=6),
-                tiny_model(seed=3),
-                log_path=log,
-                checkpoint_path=ckpt,
-            )
+            model, metrics = train(corpus, tiny_train_config(steps=6), tiny_model(seed=3))
+            log.write_text(format_metrics(metrics))
+            save_checkpoint(model, ckpt)
             paths.append((log.read_bytes(), ckpt.read_bytes()))
         assert paths[0] == paths[1]
 
@@ -511,7 +508,8 @@ class TestFinetune:
         corpus = gen_corpus(TINY_CORPUS_CFG)
         model = tiny_model(seed=1)
         path = tmp_path / "pre.bin"
-        train(corpus, tiny_train_config(steps=3), model, checkpoint_path=path)
+        train(corpus, tiny_train_config(steps=3), model)
+        save_checkpoint(model, path)
         return corpus, load_checkpoint(path)
 
     def test_runs_and_logs_ctc_loss(self, tmp_path):
@@ -594,7 +592,8 @@ class TestFinetune:
         head = init_finetune_head(None, vocab=corpus.vocab, model_dim=6, rng=seeded_rng(12))
         model = Model(encoder=pre.encoder, head=head)
         out = tmp_path / "ft.bin"
-        finetune(corpus, tiny_train_config(steps=2), model, checkpoint_path=out)
+        finetune(corpus, tiny_train_config(steps=2), model)
+        save_checkpoint(model, out)
         loaded = load_checkpoint(out)
         np.testing.assert_array_equal(
             loaded.head.weight, model.head.weight.astype(np.float32)
