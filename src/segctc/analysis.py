@@ -99,34 +99,31 @@ def compare_models(
 ) -> tuple[PosteriorReport, PosteriorReport, bool]:
     """Posterior degradation of both models on the same clean/misaligned pair.
 
-    Both sets are scored against their noisy ids. When the two lists hold
-    the same number of utterances and every pair's features are equal (as
-    `eval_split` makes them), each model runs once per utterance and both
-    reference sets are scored against that one forward; otherwise each set
-    gets its own pass. Both routes give the same figures bit for bit. A
-    reference id outside [0, V) of either model, or an utterance whose
-    references do not number its frames, raises DimensionMismatchError; a
-    model with clean probability zero raises ZeroProbabilityError. The
-    verdict is True when the CTC-trained model degrades strictly less.
+    The two sets must be the same utterances, as `eval_split` makes them: the
+    same number, and each pair's features equal; otherwise
+    DimensionMismatchError names the counts or the first utterance that
+    differs, before any forward runs. Both sets are scored against their noisy
+    ids, and each model runs once per utterance, that one forward serving both
+    reference sets. A reference id outside [0, V) of either model, or an
+    utterance whose references do not number its frames, raises
+    DimensionMismatchError; a model whose clean probability is zero or not a
+    number raises ZeroProbabilityError. The verdict is True when the
+    CTC-trained model degrades strictly less.
     """
     clean = list(clean_utterances)
     jittered = list(jittered_utterances)
-    shared = len(clean) == len(jittered) and all(
-        np.array_equal(a.features, b.features) for a, b in zip(clean, jittered)
-    )
+    if len(clean) != len(jittered):
+        raise DimensionMismatchError(f"{len(clean)} clean but {len(jittered)} jittered utterances")
+    for i, (a, b) in enumerate(zip(clean, jittered)):
+        if not np.array_equal(a.features, b.features):
+            raise DimensionMismatchError(f"utterance {i}: clean and jittered features differ")
+    features = [utt.features for utt in clean]
+    ref_sets = [[utt.noisy_ids for utt in clean], [utt.noisy_ids for utt in jittered]]
     reports = []
     for name, model in (("ce", ce_model), ("ctc", ctc_model)):
-        if shared:
-            clean_prob, degraded_prob = _avg_posteriors(
-                model,
-                [utt.features for utt in clean],
-                [[utt.noisy_ids for utt in clean], [utt.noisy_ids for utt in jittered]],
-            )
-        else:
-            clean_prob = avg_posterior(model, clean)
-            degraded_prob = avg_posterior(model, jittered)
-        if clean_prob == 0.0:
-            raise ZeroProbabilityError(f"the {name} model puts no probability on any clean frame")
+        clean_prob, degraded_prob = _avg_posteriors(model, features, ref_sets)
+        if not clean_prob > 0.0:  # NaN too: a NaN row is NaN under both reference sets
+            raise ZeroProbabilityError(f"the {name} model's clean probability is {clean_prob}")
         reports.append(degradation_report(clean_prob, degraded_prob))
     ce_report, ctc_report = reports
     verdict = ctc_report.relative_degradation < ce_report.relative_degradation

@@ -30,7 +30,8 @@ class EmptyDatasetError(ValueError):
 
 
 class ZeroProbabilityError(ZeroDivisionError):
-    """A model puts no probability where a reported figure divides by it."""
+    """A model puts no probability, or one that is not a number, where a
+    reported figure divides by it."""
 
 
 class VersionMismatchError(ValueError):

@@ -12,6 +12,7 @@ from segctc import (
     CorpusConfig,
     DimensionMismatchError,
     EmptyDatasetError,
+    ZeroProbabilityError,
     avg_posterior,
     clean_references,
     compare_models,
@@ -165,6 +166,17 @@ class TestCompareModels:
             ctc_report.relative_degradation < ce_report.relative_degradation
         )
 
+    @pytest.mark.parametrize("name", ["ce", "ctc"])
+    def test_non_finite_clean_probability(self, name):
+        # A NaN weight makes every logit NaN, silently; the figure is refused
+        # rather than reported as nan.
+        clean, jittered = eval_split(CFG, 4)
+        models = {"ce": make_model(seed=6), "ctc": make_model(seed=7)}
+        models[name].encoder.input_weight[0, 0] = np.nan
+        message = f"the {name} model's clean probability is nan"
+        with pytest.raises(ZeroProbabilityError, match=message):
+            compare_models(models["ce"], models["ctc"], clean.utterances, jittered.utterances)
+
     def test_report_formats(self):
         clean, jittered = eval_split(CFG, 4)
         ce_report, ctc_report, verdict = compare_models(
@@ -240,10 +252,20 @@ class TestSharedForward:
 
     @settings(max_examples=20, deadline=None)
     @given(analysis_cases())
-    def test_fallback_equals_two_passes(self, case):
+    def test_unpaired_sets_rejected_before_any_forward(self, case):
+        # The clean and jittered sets must be the same utterances: one fewer,
+        # or the last one's features changed, is refused before a forward runs.
         (ce, ctc), clean, jittered = case
-        for other in (perturbed(jittered, index=len(jittered) - 1), jittered[:-1]):
-            assert compare_models(ce, ctc, clean, other) == four_passes(ce, ctc, clean, other)
+
+        def no_forward(model, features):
+            raise AssertionError("a forward ran")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segctc.analysis, "pack_logits", no_forward)
+            with pytest.raises(DimensionMismatchError, match=f"utterance {len(clean) - 1}:"):
+                compare_models(ce, ctc, clean, perturbed(jittered, index=len(jittered) - 1))
+            with pytest.raises(DimensionMismatchError, match=f"{len(clean)} clean but "):
+                compare_models(ce, ctc, clean, jittered[:-1])
 
     def test_forward_count(self, monkeypatch):
         forwarded = Counter()
@@ -264,9 +286,10 @@ class TestSharedForward:
         assert pack_sizes == [8, 8, 1] * 2
         forwarded.clear()
         pack_sizes.clear()
-        compare_models(ce, ctc, clean.utterances, perturbed(jittered.utterances))
-        assert forwarded == {id(ce): 2 * n, id(ctc): 2 * n}
-        assert max(pack_sizes) <= 8
+        with pytest.raises(DimensionMismatchError):
+            compare_models(ce, ctc, clean.utterances, perturbed(jittered.utterances))
+        assert forwarded == {}
+        assert pack_sizes == []
 
     def test_keeps_no_backward_record(self):
         # A pack of 8 at the default shape. After the call pack_logits holds
@@ -374,9 +397,8 @@ class TestPackedForward:
                 assert avg_posterior(model, utts) == pytest.approx(
                     loop_posterior(model, utts), rel=1e-12, abs=0.0
                 )
-        for other in (jittered, perturbed(jittered, index=len(jittered) - 1)):
-            want = four_passes(ce, ctc, clean, other, posterior=loop_posterior)
-            assert_reports_close(compare_models(ce, ctc, clean, other), want)
+        want = four_passes(ce, ctc, clean, jittered, posterior=loop_posterior)
+        assert_reports_close(compare_models(ce, ctc, clean, jittered), want)
 
     def test_default_shape_is_bitwise_per_utterance_loop(self):
         # At T = 100 and d_model 32 every product of a pack runs on the same

@@ -681,3 +681,72 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error[numeric]") and "ctc model" in err
         assert list(out.iterdir()) == []
+
+    def test_unpaired_evaluation_sets_are_data_error(
+        self, tmp_path, fast_config, generated, pretrained, capsys
+    ):
+        # Another seed's jittered set holds as many utterances but not the
+        # same ones: the paired measurement has nothing to compare.
+        other = tmp_path / "other"
+        other.mkdir()
+        assert main(["gen-data", "--config", str(fast_config), "--seed", "1", "--out", str(other)]) == 0
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(
+            [
+                "analyze",
+                "--ce-checkpoint",
+                str(pretrained),
+                "--ctc-checkpoint",
+                str(pretrained),
+                "--eval-clean",
+                str(generated / "eval_clean.corpus"),
+                "--eval-jittered",
+                str(other / "eval_jittered.corpus"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: utterance 0: clean and jittered features differ")
+        assert list(out.iterdir()) == []
+
+    # numpy warns of the overflow; as an error the warning would surface as error[internal]
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_model_is_numeric_error(self, tmp_path, generated, capsys):
+        # Finite float32 weights of 3e38 overflow the attention scores to inf
+        # and the logits to NaN; the figure is refused, not reported as nan.
+        cfg = tmp_path / "two-layers.cfg"
+        cfg.write_text("\n".join(s for s in FAST if s != "layers=1") + "\nlayers=2\n")
+        pre = tmp_path / "pre"
+        pre.mkdir()
+        corpus = ["--corpus", str(generated / "train.corpus")]
+        assert main(["pretrain", "--config", str(cfg), "--steps", "2", *corpus, "--out", str(pre)]) == 0
+        model = load_checkpoint(pre / "checkpoint.bin")
+        model.encoder.input_weight[...] = 3e38
+        for block in model.encoder.blocks:
+            for weight in (block.weight, block.attention.wq, block.attention.wk):
+                weight[...] = 3e38
+        save_checkpoint(model, tmp_path / "overflow.bin")
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(
+            [
+                "analyze",
+                "--ce-checkpoint",
+                str(pre / "checkpoint.bin"),
+                "--ctc-checkpoint",
+                str(tmp_path / "overflow.bin"),
+                "--eval-clean",
+                str(generated / "eval_clean.corpus"),
+                "--eval-jittered",
+                str(generated / "eval_jittered.corpus"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error[numeric]: the ctc model's clean probability is nan")
+        assert list(out.iterdir()) == []
