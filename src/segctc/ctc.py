@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InfeasibleTargetError
-from .numerics import NEG_INF, log_sum_exp
+from .numerics import NEG_INF, concat_ranges, log_sum_exp
 from .targets import dedup
 
 ENUMERATION_LIMIT = 10_000_000
@@ -56,32 +56,32 @@ def collapse_path(path, blank: int) -> list[int]:
     return [int(s) for s in dedup(path) if s != blank]
 
 
-def _pack(emissions, regions, targets, mirrored: bool) -> _Packed:
+def _pack(emissions, regions, labels, counts, mirrored: bool) -> _Packed:
     """Check each region's target and pad the regions of `emissions` into
-    one batch, each followed by its reversal when `mirrored`."""
+    one batch, each followed by its reversal when `mirrored`. Region r's
+    target is the next counts[r] of the flat `labels`."""
     n_classes = emissions.shape[1]
     blank = n_classes - 1
-    lengths = regions[:, 1] - regions[:, 0]
-    for target, frames in zip(targets, lengths):
-        if target.size > frames:
-            raise InfeasibleTargetError(
-                f"target of length {target.size} cannot fit in {frames} frames"
-            )
-    labels = np.concatenate(targets)
+    sizes = regions[:, 1] - regions[:, 0]
+    if (counts > sizes).any():
+        r = (counts > sizes).argmax()
+        raise InfeasibleTargetError(f"target of length {counts[r]} cannot fit in {sizes[r]} frames")
     if labels.size and (labels.min() < 0 or labels.max() >= blank):
         raise ValueError("target labels must lie in [0, V)")
-    order = np.argsort(-lengths, kind="stable")
-    frames = lengths[order]
+    order = np.argsort(-sizes, kind="stable")
+    frames = sizes[order]
     starts = regions[order, 0]
-    states = np.array([2 * targets[i].size + 1 for i in order])
+    states = 2 * counts + 1
     n_frames, n_regions, n_states = int(frames[0]), order.size, int(states.max())
+    s = np.arange(n_states)
+    # Row by row, the odd states below each region's S_r take the flat labels
+    # in order: one scatter, then the batch order.
     ext = np.full((n_regions, n_states), blank)
-    for row, i in enumerate(order):
-        ext[row, 1 : states[row] : 2] = targets[i]
+    ext[(s % 2 == 1) & (s < states[:, None])] = labels
+    ext, states = ext[order], states[order]
     # Frames past a region's end read its last row; the recursion never uses them.
     t = np.minimum(np.arange(n_frames)[:, None], frames[None, :] - 1)
     at = starts[None, :] + t
-    s = np.arange(n_states)
     if mirrored:
         # Row 2k+1 reads region k at frame T_k-1-t and state S_k-1-s.
         back = np.where(s < states[:, None], states[:, None] - 1 - s, s)
@@ -161,9 +161,7 @@ def _grad(p: _Packed, alpha, total) -> np.ndarray:
     gamma = np.bincount(dest, weights=post, minlength=p.emissions.size)
     gamma = gamma.reshape(p.emissions.shape)
     # The pack row of every frame of every live region, region by region.
-    frames = frames[live]
-    rows = np.repeat(p.starts[live] - np.cumsum(frames) + frames, frames)
-    rows += np.arange(rows.size)
+    rows = concat_ranges(p.starts[live], frames[live])
     grad = np.zeros_like(p.emissions)
     grad[rows] = np.exp(p.emissions[rows]) - gamma[rows]
     return grad
@@ -174,9 +172,11 @@ def ctc_loss_packed(emissions, regions, targets, with_grad: bool):
     `with_grad`, the pack gradient of their sum (else None).
 
     Region r is the lattice emissions[start:end], (start, end) = regions[r],
-    of the (N, V+1) pack; regions are non-empty, disjoint, in any order. They
-    are padded into one batch, longest first, so that frame t updates only
-    the regions still running (the padded layout of warp-ctc). Each region's
+    of the (N, V+1) pack; regions are non-empty, disjoint, in any order.
+    `targets` is the pair (labels, counts): region r's target is the next
+    counts[r] labels of the flat `labels`, in region order. The regions are
+    padded into one batch, longest first, so that frame t updates only the
+    regions still running (the padded layout of warp-ctc). Each region's
     loss and gradient rows are bitwise those of a pack holding it alone. The
     gradient is softmax - gamma on the rows of each region and exactly 0 on
     every other row, including those of a region whose target is unreachable.
@@ -185,17 +185,17 @@ def ctc_loss_packed(emissions, regions, targets, with_grad: bool):
     if emissions.ndim != 2 or emissions.shape[1] < 2:
         raise ValueError(f"emissions must be (N, V+1) with V >= 1, got {emissions.shape}")
     regions = np.asarray(regions, dtype=int).reshape(-1, 2)
-    targets = [np.asarray(target, dtype=int).reshape(-1) for target in targets]
-    if len(regions) != len(targets):
-        raise ValueError(f"{len(regions)} regions but {len(targets)} targets")
+    labels, counts = (np.asarray(part, dtype=int).reshape(-1) for part in targets)
+    if len(regions) != len(counts) or counts.sum() != labels.size:
+        raise ValueError(f"{len(regions)} regions, target lengths {counts}, {labels.size} labels")
     # Sorted by start, the edges 0, start, end, start, end, ..., N of disjoint
     # non-empty regions never fall and always rise within a region.
     edges = np.diff([0, *regions[np.argsort(regions[:, 0])].ravel(), emissions.shape[0]])
-    if np.any(edges < 0) or np.any(edges[1::2] == 0):
+    if (edges < 0).any() or (edges[1::2] == 0).any():
         raise ValueError(f"regions must be non-empty, disjoint rows of {emissions.shape[0]}")
-    if not targets:
+    if not counts.size:
         return np.zeros(0), (np.zeros_like(emissions) if with_grad else None)
-    p = _pack(emissions, regions, targets, mirrored=with_grad)
+    p = _pack(emissions, regions, labels, counts, mirrored=with_grad)
     grad = None
     with np.errstate(invalid="ignore"):
         alpha, total = _forward(p)
@@ -213,7 +213,8 @@ def ctc_loss(lattice, target) -> float:
     room for a separating blank). Raises InfeasibleTargetError when the target
     is longer than the lattice.
     """
-    return float(ctc_loss_packed(lattice, [(0, len(lattice))], [target], with_grad=False)[0][0])
+    losses, _ = ctc_loss_packed(lattice, [(0, len(lattice))], (target, np.size(target)), False)
+    return float(losses[0])
 
 
 def ctc_loss_and_grad(lattice, target) -> tuple[float, np.ndarray]:
@@ -223,7 +224,7 @@ def ctc_loss_and_grad(lattice, target) -> tuple[float, np.ndarray]:
     occupancy of class k at frame t. For an unreachable target (infinite
     loss) the gradient is left at zero.
     """
-    (loss,), grad = ctc_loss_packed(lattice, [(0, len(lattice))], [target], with_grad=True)
+    (loss,), grad = ctc_loss_packed(lattice, [(0, len(lattice))], (target, np.size(target)), True)
     return float(loss), grad
 
 

@@ -1,8 +1,19 @@
-"""Span masking: sampling mask starts, merging spans, and embedding substitution."""
+"""Span masking: sampling mask starts, merging spans, and embedding substitution.
+
+Merging is vectorized: the spans are sorted by (start, end), a span opens a
+region where it starts past the running maximum (np.maximum.accumulate) of
+the earlier ends, and a region ends at that maximum. A training batch draws
+each utterance's starts from its own keyed generator, so no draw depends on
+the batch, and merges them all at once with the utterances laid end to end
+(sample_masks); its masked regions then become one (R, 2) array of pack
+rows (pack_regions), from which the loss takes its masked rows and targets
+and the backward its mask-embedding rows.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -23,15 +34,13 @@ class MaskSpec:
     def __post_init__(self):
         if self.total_frames < 1:
             raise ValueError("total_frames must be >= 1")
-        prev_end = None
-        for start, end in self.intervals:
-            if not (0 <= start < end <= self.total_frames):
-                raise ValueError(
-                    f"interval [{start}, {end}) out of bounds for {self.total_frames} frames"
-                )
-            if prev_end is not None and start <= prev_end:
-                raise ValueError("intervals must be sorted, disjoint and non-adjacent")
-            prev_end = end
+        # 0 <= start < end < next start < ... < last end <= total_frames
+        edges = [-1, *chain.from_iterable(self.intervals), self.total_frames + 1]
+        if any(a >= b for a, b in zip(edges, edges[1:])):
+            raise ValueError(
+                f"intervals {self.intervals} of {self.total_frames} frames must be sorted, "
+                "disjoint, non-adjacent and within the frames"
+            )
 
     @property
     def masked_frames(self) -> int:
@@ -49,18 +58,27 @@ def merge_spans(spans, total_frames: int) -> MaskSpec:
     """Merge raw [start, end) spans (any order, overlaps allowed) into a MaskSpec.
 
     Touching spans merge into a single region, so every resulting interval is
-    a maximal contiguous masked stretch.
+    a maximal contiguous masked stretch. `spans` holds (start, end) pairs, or
+    is an (n, 2) int array; spans with end <= start are dropped and the rest
+    clipped to [0, total_frames).
     """
-    clipped = sorted(
-        (max(0, int(s)), min(int(e), total_frames)) for s, e in spans if int(e) > int(s)
-    )
-    merged: list[list[int]] = []
-    for start, end in clipped:
-        if merged and start <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], end)
-        else:
-            merged.append([start, end])
-    return MaskSpec(tuple((s, e) for s, e in merged), total_frames)
+    spans = spans if isinstance(spans, np.ndarray) else list(spans)
+    spans = np.asarray(spans, dtype=int).reshape(-1, 2)
+    spans = spans[spans[:, 1] > spans[:, 0]]
+    starts, ends = np.maximum(spans[:, 0], 0), np.minimum(spans[:, 1], total_frames)
+    order = np.lexsort((ends, starts))
+    starts, ends = _merged(starts[order], ends[order])
+    return MaskSpec(tuple(zip(starts.tolist(), ends.tolist())), total_frames)
+
+
+def _merged(starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """The (starts, ends) of the regions of spans sorted by (start, end): a
+    span opens a region where it starts past the running maximum of the
+    earlier ends, and the span before it closes the previous region there."""
+    ends = np.maximum.accumulate(ends)
+    opens = np.ones(starts.size + 1, dtype=bool)  # and a last entry past the last span
+    opens[1:-1] = starts[1:] > ends[:-1]
+    return starts[opens[:-1]], ends[opens[1:]]
 
 
 def sample_mask(
@@ -69,19 +87,41 @@ def sample_mask(
     """floor(start_prob * T) distinct start frames, each opening a span of
     `span_length` frames truncated at T; overlapping or touching spans merge.
     """
-    if total_frames < 1:
-        raise ValueError("total_frames must be >= 1")
-    if not 0.0 <= start_prob <= 1.0:
-        raise ValueError("start_prob must lie in [0, 1]")
-    if span_length < 1:
-        raise ValueError("span_length must be >= 1")
-    n_starts = int(start_prob * total_frames)
-    if n_starts == 0:
-        return MaskSpec((), total_frames)
-    starts = rng.choice(total_frames, size=n_starts, replace=False)
-    return merge_spans(
-        ((int(s), int(s) + span_length) for s in starts), total_frames
-    )
+    if total_frames < 1 or not 0.0 <= start_prob <= 1.0 or span_length < 1:
+        raise ValueError(
+            "sample_mask needs total_frames >= 1, start_prob in [0, 1] and span_length >= 1, "
+            f"got {total_frames}, {start_prob} and {span_length}"
+        )
+    return sample_masks([total_frames], start_prob, span_length, [rng])[0]
+
+
+def sample_masks(frames, start_prob: float, span_length: int, rngs) -> list[MaskSpec]:
+    """sample_mask(frames[i], start_prob, span_length, rngs[i]) of every
+    utterance of a pack, with one merge for all of them: each draws its
+    starts from its own generator, and the utterances lie end to end with
+    one free row after each, so that no span reaches into the next. The
+    arguments must be valid for sample_mask, which checks them (TrainConfig
+    checks a training run's)."""
+    draws = [rng.choice(n, size=int(start_prob * n), replace=False) for n, rng in zip(frames, rngs)]
+    firsts = np.cumsum([0, *(n + 1 for n in frames)])
+    counts = [draw.size for draw in draws]
+    starts = np.concatenate([np.zeros(0, dtype=int), *draws]) + np.repeat(firsts[:-1], counts)
+    # Sorted, each utterance's starts stay in its own block of rows, so `lasts` lines up.
+    starts, lasts = np.sort(starts), np.repeat(firsts[1:] - 1, counts)
+    starts, ends = _merged(starts, np.minimum(starts + span_length, lasts))
+    owner = np.searchsorted(firsts, starts, side="right") - 1
+    pairs = list(zip((starts - firsts[owner]).tolist(), (ends - firsts[owner]).tolist()))
+    cuts = [0, *accumulate(np.bincount(owner, minlength=len(frames)).tolist())]
+    return [MaskSpec(tuple(pairs[a:b]), n) for n, a, b in zip(frames, cuts, cuts[1:])]
+
+
+def pack_regions(specs) -> np.ndarray:
+    """The masked intervals of utterances laid end to end along time, each
+    with its MaskSpec in `specs`: one (R, 2) int array of [start, end) pack
+    rows, utterance by utterance, each in interval order."""
+    offsets = accumulate([spec.total_frames for spec in specs], initial=0)
+    rows = [x + offset for spec, offset in zip(specs, offsets) for iv in spec.intervals for x in iv]
+    return np.array(rows, dtype=int).reshape(-1, 2)
 
 
 def apply_mask(features, spec: MaskSpec, mask_embedding) -> np.ndarray:

@@ -22,11 +22,17 @@ length. Every slot that would reach into a neighbour is -inf, its weight
 exactly 0, so a finite neighbour adds exactly 0 (a non-finite one makes its
 neighbours non-finite too, through 0 * inf). Dense attention runs per
 utterance inside the pack. pack_backward returns the gradient of the pack's
-summed loss: each weight gradient is formed per utterance, on that
-utterance's rows, and the terms are added in pack order, so the sum is
-bitwise that of the utterances' own gradients wherever BLAS picks the same
-kernel for both shapes. pack_backward takes one logit gradient laid out like
-the pack, (sum T, V+1), and skips the encoder when only the head is trained.
+summed loss. Each weight or bias gradient is one term per utterance, on that
+utterance's rows: the pack splits into runs of consecutive utterances of
+equal length (a pack of equal lengths is one run), one stacked matmul (or
+row sum) over a run's (k, T, d) view gives its k terms, each bitwise the
+product of its utterance alone, and the terms add left to right in pack
+order (np.add.reduce along the stacked axis would add them pairwise). The
+products over all rows of the pack (the affine maps and their input
+gradients) equal the utterances' own wherever BLAS picks the same kernel for
+both shapes, so the sum is then bitwise that of the utterances' gradients.
+pack_backward takes one logit gradient laid out like the pack,
+(sum T, V+1), and skips the encoder when only the head is trained.
 model_forward and model_backward are the pack of one.
 
 One encoder forward serves two callers. pack_forward keeps the backward
@@ -75,7 +81,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, groupby
 from operator import iadd
 
 import numpy as np
@@ -311,14 +317,27 @@ def _slices(lengths: tuple[int, ...]) -> list[slice]:
     return [slice(end - frames, end) for frames, end in zip(lengths, accumulate(lengths))]
 
 
-def _summed_products(a: np.ndarray, b: np.ndarray, slices) -> np.ndarray:
-    """The sum of a[s].T @ b[s] over the rows s of every utterance, in pack order."""
-    return reduce(iadd, (a[s].T @ b[s] for s in slices))
+def _runs(lengths: tuple[int, ...]) -> list[tuple[slice, tuple[int, int, int]]]:
+    """(rows, shape) of each run of consecutive utterances of equal length in
+    a pack: the run's rows and the (count, frames, -1) shape that stacks
+    them, one utterance per stacked row. A pack of equal lengths is one run."""
+    groups = [(len(list(group)), frames) for frames, group in groupby(lengths)]
+    ends = accumulate(count * frames for count, frames in groups)
+    return [(slice(end - n * t, end), (n, t, -1)) for end, (n, t) in zip(ends, groups)]
 
 
-def _summed_row_sums(a: np.ndarray, slices) -> np.ndarray:
+def _summed_products(a: np.ndarray, b: np.ndarray, runs) -> np.ndarray:
+    """The sum of a[s].T @ b[s] over the rows s of every utterance, in pack
+    order: one stacked matmul per run gives each utterance's term bitwise,
+    and the terms add left to right (np.add.reduce and .sum would add them
+    pairwise along a contiguous axis)."""
+    stacks = (np.matmul(a[r].reshape(s).transpose(0, 2, 1), b[r].reshape(s)) for r, s in runs)
+    return reduce(iadd, chain.from_iterable(stacks))
+
+
+def _summed_row_sums(a: np.ndarray, runs) -> np.ndarray:
     """The sum of a[s].sum(axis=0) over the rows s of every utterance, in pack order."""
-    return reduce(iadd, (a[s].sum(axis=0) for s in slices))
+    return reduce(iadd, chain.from_iterable(a[r].reshape(s).sum(axis=1) for r, s in runs))
 
 
 def _strided_view(padded: np.ndarray, shape, strides, offset: int = 0) -> np.ndarray:
@@ -377,12 +396,15 @@ def _banded_attention(v, attn: AttentionParams, lengths, half: int, scale: float
     w = _padded_matmul(v, attn.wv, half)
     att_padded = np.zeros((frames + 2 * half, width))
     att = att_padded[rows]
-    np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
-    att *= scale
-    att += np.concatenate([_band_pad(frames, half) for frames in lengths])
-    att -= axis_max(att, 1)
-    np.exp(att, out=att)
-    att /= att.sum(axis=1, keepdims=True)
+    # Scores that overflow to inf give NaN in the softmax (inf - inf), which
+    # the loss or the analysis refuses downstream; numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.einsum("td,tod->to", q[rows], _windows(k, frames, width), out=att)
+        att *= scale
+        att += np.concatenate([_band_pad(frames, half) for frames in lengths])
+        att -= axis_max(att, 1)
+        np.exp(att, out=att)
+        att /= att.sum(axis=1, keepdims=True)
     out = _band_contract(att, _windows(w, frames, width))
     return out, ({"q": q, "k": k, "w": w, "att": att_padded} if record else None)
 
@@ -417,10 +439,11 @@ def _dense_attention(v, attn: AttentionParams, slices, scale: float, record: boo
     out = np.empty_like(w)
     atts = []
     for s in slices:
-        att = (q[s] @ k[s].T) * scale
-        att -= att.max(axis=1, keepdims=True)
-        np.exp(att, out=att)
-        att /= att.sum(axis=1, keepdims=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _banded_attention
+            att = (q[s] @ k[s].T) * scale
+            att -= att.max(axis=1, keepdims=True)
+            np.exp(att, out=att)
+            att /= att.sum(axis=1, keepdims=True)
         np.matmul(att, w[s], out=out[s])
         if record:
             atts.append(att)
@@ -468,7 +491,7 @@ def _encoder_forward(features, params: EncoderParams, record: bool):
     )
     h = _affine(xin, params.input_weight, params.input_bias)
     slices = _slices(lengths)
-    cache = {"lengths": lengths, "slices": slices}
+    cache = {"lengths": lengths, "slices": slices, "runs": _runs(lengths)}
     if record:
         cache.update(xin=xin, blocks=[])
     del xin
@@ -501,7 +524,7 @@ def encoder_forward(features, params: EncoderParams) -> np.ndarray:
 def _encoder_backward(dh, params: EncoderParams, cache):
     """Parameter gradients of the pack in `cache`, each summed over its
     utterances in pack order, and the (sum T, d) input-frame gradient."""
-    lengths, slices = cache["lengths"], cache["slices"]
+    lengths, slices, runs = cache["lengths"], cache["slices"], cache["runs"]
     grads = {}
     scale = 1.0 / np.sqrt(params.model_dim)
     half = _band_half_width(params, lengths)
@@ -514,9 +537,8 @@ def _encoder_backward(dh, params: EncoderParams, cache):
                 dq, dk, dw = _banded_attention_backward(dh, rec, half, scale)
             else:
                 dq, dk, dw = _dense_attention_backward(dh, rec, slices, scale)
-            grads[f"encoder.blocks.{i}.attention.wq"] = _summed_products(dq, v, slices)
-            grads[f"encoder.blocks.{i}.attention.wk"] = _summed_products(dk, v, slices)
-            grads[f"encoder.blocks.{i}.attention.wv"] = _summed_products(dw, v, slices)
+            for name, d in (("wq", dq), ("wk", dk), ("wv", dw)):
+                grads[f"encoder.blocks.{i}.attention.{name}"] = _summed_products(d, v, runs)
             # dh + dq @ wq + dk @ wk + dw @ wv, added in that order
             dv = dq @ block.attention.wq
             dv += dh
@@ -525,11 +547,11 @@ def _encoder_backward(dh, params: EncoderParams, cache):
         else:
             dv = dh
         du = dv * _nonlin_deriv(rec["v"], params.nonlin)
-        grads[f"encoder.blocks.{i}.weight"] = _summed_products(du, rec["h_in"], slices)
-        grads[f"encoder.blocks.{i}.bias"] = _summed_row_sums(du, slices)
+        grads[f"encoder.blocks.{i}.weight"] = _summed_products(du, rec["h_in"], runs)
+        grads[f"encoder.blocks.{i}.bias"] = _summed_row_sums(du, runs)
         dh = du @ block.weight
-    grads["encoder.input_weight"] = _summed_products(dh, cache["xin"], slices)
-    grads["encoder.input_bias"] = _summed_row_sums(dh, slices)
+    grads["encoder.input_weight"] = _summed_products(dh, cache["xin"], runs)
+    grads["encoder.input_bias"] = _summed_row_sums(dh, runs)
     dxin = dh @ params.input_weight
     return grads, dxin[:, : params.feature_dim]
 
@@ -580,29 +602,30 @@ def pack_backward(
     out like the pack.
 
     Each gradient adds one term per utterance, formed on that utterance's
-    rows, in pack order; a pack of one is its utterance alone.
+    rows by one stacked product per run of equal lengths, left to right in
+    pack order; a pack of one is its utterance alone.
     `masked_rows[i]` are utterance i's frame indices whose input was the mask
     embedding (or None); their input gradients accumulate into the mask
     embedding's gradient. Without `with_encoder` only the head's gradients
     are formed and the encoder backward does not run.
     """
     dlogits = np.asarray(dlogits, dtype=float)
-    hidden, slices = cache["hidden"], cache["slices"]
+    hidden, slices, runs = cache["hidden"], cache["slices"], cache["runs"]
     head = model.head
     if isinstance(head, EmbeddingHead):
         # compute_logits's projection, recomputed bit for bit from the same inputs
         proj = _affine(hidden, head.proj_weight, head.proj_bias)
         dproj = dlogits @ head.embeddings
         grads = {
-            "head.embeddings": _summed_products(dlogits, proj, slices),
-            "head.proj_weight": _summed_products(dproj, hidden, slices),
-            "head.proj_bias": _summed_row_sums(dproj, slices),
+            "head.embeddings": _summed_products(dlogits, proj, runs),
+            "head.proj_weight": _summed_products(dproj, hidden, runs),
+            "head.proj_bias": _summed_row_sums(dproj, runs),
         }
         dout, weight = dproj, head.proj_weight
     else:
         grads = {
-            "head.weight": _summed_products(dlogits, hidden, slices),
-            "head.bias": _summed_row_sums(dlogits, slices),
+            "head.weight": _summed_products(dlogits, hidden, runs),
+            "head.bias": _summed_row_sums(dlogits, runs),
         }
         dout, weight = dlogits, head.weight
     if not with_encoder:

@@ -16,6 +16,12 @@ def left_sum(values) -> float:
     return reduce(add, values, 0.0)
 
 
+def concat_ranges(starts, lengths) -> np.ndarray:
+    """The rows start, ..., start + n - 1 of every (start, n) pair of the int
+    arrays, in order: np.concatenate of their np.arange ranges, in one pass."""
+    return np.repeat(starts - lengths.cumsum() + lengths, lengths) + np.arange(lengths.sum())
+
+
 def log_sum_exp(values) -> float:
     """log(sum(exp(values))), stable against overflow.
 

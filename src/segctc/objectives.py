@@ -7,11 +7,14 @@ and CTC by total target-token count, per utterance, so the two terms have
 comparable magnitude. The segment-CTC term is the one CTC rule of both
 training jobs: finetuning scores each whole utterance as a single region. A
 pack is the (sum T, V+1) log-probabilities of a batch's utterances end to
-end, with one MaskSpec each: the masked regions are row ranges of the pack
-and share one CTC call, CE is one gather over the masked rows, and each
-utterance's normalizer divides its own rows. Gradients are with respect to
-the pre-softmax logits, laid out like the pack, and exactly zero on unmasked
-rows.
+end, with one MaskSpec each. Its masked regions are one (R, 2) array of pack
+rows (masking.pack_regions), built once per step: CE is one gather over
+their rows, their targets are deduplicated once over the packed ids
+(targets.packed_targets) and all regions share one CTC call on the flat
+targets. Each utterance's region losses add left to right (np.bincount, in
+region order) and its normalizer divides its own rows. Gradients are with
+respect to the pre-softmax logits, laid out like the pack, and exactly zero
+on unmasked rows.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 
 from .ctc import ctc_loss_packed
 from .errors import ConfigError, DimensionMismatchError
-from .masking import MaskSpec
-from .numerics import left_sum
-from .targets import segment_targets
+from .masking import MaskSpec, pack_regions
+from .numerics import concat_ranges
+from .targets import packed_targets
 
 
 @dataclass(frozen=True)
@@ -76,17 +79,15 @@ def _check_pack(log_probs, ids, specs):
     return log_probs, ids
 
 
-def _masked_ce_terms(log_probs, ids, specs, with_grad: bool):
+def _masked_ce_terms(log_probs, ids, specs, regions, with_grad: bool):
     """Each utterance's masked CE and, if `with_grad`, the pack gradient of
-    their sum (else None)."""
+    their sum (else None). The masked rows are those of the pack `regions`,
+    pack_regions(specs)."""
     counts = [spec.masked_frames for spec in specs]
-    masks = [spec.frame_mask() for spec in specs]
-    rows = np.flatnonzero(np.concatenate([np.zeros(0, dtype=bool), *masks]))
+    rows = concat_ranges(regions[:, 0], regions[:, 1] - regions[:, 0])
     picked = log_probs[rows, ids[rows]]
     ends = np.cumsum(counts, dtype=int).tolist()
-    losses = [
-        -float(picked[end - n : end].sum()) / n if n else 0.0 for n, end in zip(counts, ends)
-    ]
+    losses = [-float(picked[end - n : end].sum()) / n if n else 0.0 for n, end in zip(counts, ends)]
     if not with_grad:
         return losses, None
     per_row = np.repeat(counts, counts)
@@ -96,7 +97,7 @@ def _masked_ce_terms(log_probs, ids, specs, with_grad: bool):
     return losses, grad
 
 
-def segment_ctc_terms(log_probs, ids, specs, with_grad: bool):
+def segment_ctc_terms(log_probs, ids, specs, with_grad: bool, regions=None):
     """Each utterance's token-normalized segment CTC and target-token count
     and, if `with_grad`, the pack gradient of their sum (else None), from one
     CTC call over every region of every spec, shifted to its utterance's rows.
@@ -104,26 +105,21 @@ def segment_ctc_terms(log_probs, ids, specs, with_grad: bool):
     The CTC term of both training jobs: pretraining passes the masked regions
     and the noisy ids, finetuning one whole-utterance region per utterance,
     MaskSpec(((0, T),), T), and the true ids. `log_probs` is the float
-    (sum T, V+1) pack and `ids` its int frame ids, one per row.
+    (sum T, V+1) pack and `ids` its int frame ids, one per row; `regions` is
+    pack_regions(specs), built here when not given. The targets are
+    deduplicated once over the pack, and each utterance's region losses are
+    added left to right from 0.0 in region order (np.bincount).
     """
-    frames = [spec.total_frames for spec in specs]
-    offsets = np.cumsum([0, *frames[:-1]], dtype=int).tolist()
-    regions, targets, tokens = [], [], []
-    for spec, offset in zip(specs, offsets):
-        segments = segment_targets(ids[offset : offset + spec.total_frames], spec)
-        regions += [(offset + start, offset + end) for start, end in spec.intervals]
-        targets += segments
-        tokens.append(sum(target.size for target in segments))
-    region_losses, grad = ctc_loss_packed(log_probs, regions, targets, with_grad)
-    losses, first = [], 0
-    for spec, n in zip(specs, tokens):
-        summed = left_sum(region_losses[first : first + len(spec.intervals)].tolist())
-        first += len(spec.intervals)
-        losses.append(summed / n if n else 0.0)
+    regions = pack_regions(specs) if regions is None else regions
+    owners = np.repeat(np.arange(len(specs)), [len(spec.intervals) for spec in specs])
+    labels, counts = packed_targets(ids, regions)
+    region_losses, grad = ctc_loss_packed(log_probs, regions, (labels, counts), with_grad)
+    tokens = np.bincount(owners, weights=counts, minlength=len(specs)).astype(int)
+    divisors = np.maximum(tokens, 1)
+    losses = np.bincount(owners, weights=region_losses, minlength=len(specs)) / divisors
     if with_grad:
-        divisors = [max(1, n) for n in tokens]
-        grad /= np.repeat(divisors, frames)[:, None]
-    return losses, tokens, grad
+        grad /= np.repeat(divisors, [spec.total_frames for spec in specs])[:, None]
+    return losses.tolist(), tokens.tolist(), grad
 
 
 def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
@@ -133,7 +129,7 @@ def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     Returns (0, zero gradient) when nothing is masked.
     """
     log_probs, ids = _check_pack(log_probs, ids, [spec])
-    (loss,), grad = _masked_ce_terms(log_probs, ids, [spec], with_grad=True)
+    (loss,), grad = _masked_ce_terms(log_probs, ids, [spec], pack_regions([spec]), True)
     return loss, grad
 
 
@@ -150,38 +146,34 @@ def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
 
 
 def joint_loss_batch(
-    log_probs, ids, specs, alpha: float
+    log_probs, ids, specs, alpha: float, regions=None
 ) -> tuple[list[LossBreakdown], np.ndarray]:
     """joint_loss of every utterance of a pack, in order, and the pack
     gradient of their sum.
 
     `log_probs` (sum T, V+1) and `ids` (sum T) hold the utterances end to
-    end; specs[i] is utterance i's MaskSpec, and its total_frames is T_i. A
-    term whose weight is 0 is still computed and reported, but its gradient
-    is not: at alpha 0 CTC runs its forward recursion only.
+    end; specs[i] is utterance i's MaskSpec, and its total_frames is T_i.
+    `regions` is pack_regions(specs), which a caller that also needs the
+    masked rows passes so that a step builds it once. A term whose weight is
+    0 is still computed and reported, but its gradient is not: at alpha 0
+    CTC runs its forward recursion only.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     log_probs, ids = _check_pack(log_probs, ids, specs)
-    ctc, tokens, ctc_grad = segment_ctc_terms(log_probs, ids, specs, alpha > 0.0)
-    ce, ce_grad = _masked_ce_terms(log_probs, ids, specs, alpha < 1.0)
+    regions = pack_regions(specs) if regions is None else regions
+    ctc, tokens, ctc_grad = segment_ctc_terms(log_probs, ids, specs, alpha > 0.0, regions)
+    ce, ce_grad = _masked_ce_terms(log_probs, ids, specs, regions, alpha < 1.0)
     if alpha == 0.0:
         grad = ce_grad
     elif alpha == 1.0:
         grad = ctc_grad
     else:
         grad = alpha * ctc_grad + (1.0 - alpha) * ce_grad
-    breakdowns = [
-        LossBreakdown(
-            ce=ce_u,
-            ctc=ctc_u,
-            combined=alpha * ctc_u + (1.0 - alpha) * ce_u,
-            masked_frames=spec.masked_frames,
-            target_tokens=n,
-        )
-        for ce_u, ctc_u, n, spec in zip(ce, ctc, tokens, specs)
-    ]
-    return breakdowns, grad
+    return [  # (ce, ctc, combined, masked_frames, target_tokens) of each utterance
+        LossBreakdown(c, t, alpha * t + (1.0 - alpha) * c, spec.masked_frames, n)
+        for c, t, spec, n in zip(ce, ctc, specs, tokens)
+    ], grad
 
 
 def joint_loss(log_probs, ids, spec: MaskSpec, alpha: float) -> tuple[LossBreakdown, np.ndarray]:

@@ -6,6 +6,7 @@ import numpy as np
 
 from .errors import LengthMismatchError
 from .masking import MaskSpec
+from .numerics import concat_ranges
 
 
 def dedup(ids) -> np.ndarray:
@@ -15,9 +16,21 @@ def dedup(ids) -> np.ndarray:
     adjacent pair.
     """
     arr = np.asarray(ids, dtype=int).reshape(-1)
-    keep = np.ones(arr.size, dtype=bool)
-    keep[1:] = arr[1:] != arr[:-1]
-    return arr[keep]
+    return packed_targets(arr, np.array([[0, arr.size]]))[0] if arr.size else arr
+
+
+def packed_targets(ids, regions) -> tuple[np.ndarray, np.ndarray]:
+    """dedup of the ids of every [start, end) row range in the (R, 2)
+    `regions`, as one flat label array in region order and each region's
+    label count. A row is kept where its id differs from the previous row's
+    or it opens a region, so no run merges across a region boundary."""
+    lengths = regions[:, 1] - regions[:, 0]
+    picked = ids[concat_ranges(regions[:, 0], lengths)]
+    keep = np.ones(picked.size, dtype=bool)
+    keep[1:] = picked[1:] != picked[:-1]
+    ends = np.cumsum(lengths)
+    keep[ends - lengths] = True
+    return picked[keep], np.diff(np.cumsum(keep)[ends - 1], prepend=0)
 
 
 def segment_targets(ids, spec: MaskSpec) -> list[np.ndarray]:

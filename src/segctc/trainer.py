@@ -1,12 +1,17 @@
 """Mini-batch gradient training with decoupled-weight-decay Adam.
 
 Every random draw is keyed by (seed, stream, step[, utterance]) so runs are
-bit-reproducible. A step lays its whole batch end to end along time and runs
-one packed forward, computes the losses of all its utterances on the packed
-log-probabilities with one CTC call, then runs one packed backward on the
-packed logit gradient, which returns the gradient of the batch's summed loss,
-reduced in sorted utterance order (segctc.model); the step divides it by the
-batch size. A frozen finetune stops the backward at the head.
+bit-reproducible. A step draws each utterance's mask from its own generator
+and merges them all at once (masking.sample_masks), lays its whole batch end
+to end along time and runs one packed forward, computes the losses of all
+its utterances on the packed log-probabilities with one CTC call, then runs
+one packed backward on the packed logit gradient, which returns the gradient
+of the batch's summed loss, reduced in sorted utterance order
+(segctc.model); the step divides it by the batch size. The masked regions
+are one array of pack rows, built once per step, for the loss and for the
+mask embedding's gradient. A frozen finetune stops the backward at the head.
+AdamW updates every trainable parameter as one flat vector, with the
+element-wise expressions of a per-parameter update and so its bits.
 
 Both jobs score CTC through segctc.objectives' segment-CTC term: pretraining
 over the masked regions, finetuning over one whole-utterance region per
@@ -23,14 +28,15 @@ tab-separated
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, ShapeMismatchError
-from .masking import MaskSpec, apply_mask, sample_mask
+from .masking import MaskSpec, apply_mask, pack_regions, sample_masks
 from .model import Model, named_params, pack_backward, pack_forward
-from .numerics import left_sum, log_softmax
+from .numerics import concat_ranges, left_sum, log_softmax
 from .objectives import (
     LossBreakdown,
     TrainingMode,
@@ -56,39 +62,43 @@ class AdamHyper:
 
 @dataclass
 class AdamState:
+    """The step count and the first and second moments of every parameter,
+    each one flat vector over the parameter list laid end to end (None
+    before the first step); every step passes the same list."""
+
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params, grads, state: AdamState, hyper: AdamHyper):
     """One bias-corrected Adam update with decoupled weight decay, in place.
 
     `params` is a list of (name, array) pairs; `grads` maps the same names to
-    gradient arrays of identical shape.
+    gradient arrays of identical shape. The update runs once over every
+    parameter laid end to end as one flat vector, with a per-parameter
+    update's element-wise expressions and so its bits, and its result is
+    written back into each parameter array.
     """
+    for key, p in params:
+        if (g := grads[key]).shape != p.shape:
+            raise ShapeMismatchError(f"gradient for {key} has shape {g.shape}, parameter {p.shape}")
+    flat = np.concatenate([p for _, p in params], axis=None)
+    g = np.concatenate([grads[name] for name, _ in params], axis=None)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     state.step += 1
-    t = state.step
-    c1 = 1.0 - hyper.beta1**t
-    c2 = 1.0 - hyper.beta2**t
-    for name, p in params:
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ShapeMismatchError(
-                f"gradient for {name} has shape {g.shape}, parameter {p.shape}"
-            )
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p)
-        if name not in state.v:
-            state.v[name] = np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * g * g
-        p -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
-        if hyper.weight_decay:
-            p -= hyper.lr * hyper.weight_decay * p
+    c1, c2 = 1.0 - hyper.beta1**state.step, 1.0 - hyper.beta2**state.step
+    m, v = state.m, state.v
+    m *= hyper.beta1
+    m += (1.0 - hyper.beta1) * g
+    v *= hyper.beta2
+    v += (1.0 - hyper.beta2) * g * g
+    flat -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+    if hyper.weight_decay:
+        flat -= hyper.lr * hyper.weight_decay * flat
+    for (_, p), end in zip(params, accumulate(p.size for _, p in params)):
+        p[...] = flat[end - p.size : end].reshape(p.shape)
     return params, state
 
 
@@ -160,14 +170,15 @@ def _pretrain_batch(model: Model, batch, alpha: float) -> tuple[list[LossBreakdo
     joint-loss call over the pack, then one packed backward."""
     if any(len(ids) != spec.total_frames for _, ids, spec in batch):
         raise DimensionMismatchError("every utterance needs one id per frame")
-    mask_embedding = model.encoder.mask_embedding
-    masked = [apply_mask(features, spec, mask_embedding) for features, _, spec in batch]
+    masked = [apply_mask(x, spec, model.encoder.mask_embedding) for x, _, spec in batch]
     logits, cache = pack_forward(model, masked)
     ids = np.concatenate([ids for _, ids, _ in batch])
     specs = [spec for _, _, spec in batch]
-    breakdowns, dlogits = joint_loss_batch(log_softmax(logits, axis=1), ids, specs, alpha)
-    masked_rows = [np.flatnonzero(spec.frame_mask()) for spec in specs]
-    return breakdowns, pack_backward(model, cache, dlogits, masked_rows)
+    regions = pack_regions(specs)
+    breakdowns, dlogits = joint_loss_batch(log_softmax(logits, axis=1), ids, specs, alpha, regions)
+    is_masked = np.zeros(ids.size, dtype=bool)
+    is_masked[concat_ranges(regions[:, 0], regions[:, 1] - regions[:, 0])] = True
+    return breakdowns, pack_backward(model, cache, dlogits, [is_masked[s] for s in cache["slices"]])
 
 
 def pretrain_loss_and_grads(
@@ -282,12 +293,10 @@ def train(corpus: Corpus, cfg: TrainConfig, model: Model):
     """Masked pretraining on the corpus's noisy ids under the configured mode."""
 
     def batch_fn(indices, step: int, alpha: float):
-        batch = []
-        for idx in indices:
-            utt = corpus.utterances[idx]
-            mask_rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
-            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, mask_rng)
-            batch.append((utt.features, utt.noisy_ids, spec))
+        utts = [corpus.utterances[idx] for idx in indices]
+        rngs = [seeded_rng(cfg.seed, _MASK_STREAM, idx, step) for idx in indices]
+        specs = sample_masks([len(utt.features) for utt in utts], cfg.mask_p, cfg.mask_l, rngs)
+        batch = [(utt.features, utt.noisy_ids, spec) for utt, spec in zip(utts, specs)]
         return _pretrain_batch(model, batch, alpha)
 
     return model, _run_loop(corpus, cfg, batch_fn, named_params(model))

@@ -7,6 +7,9 @@ packed encoder against its batch-of-one case.
 reference for the band, which computes the (T, 2w+1) diagonals alone.
 """
 
+from functools import reduce
+from operator import iadd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,10 @@ from segctc import (
 from segctc.model import (
     _encoder_backward,
     _encoder_forward,
+    _runs,
+    _slices,
+    _summed_products,
+    _summed_row_sums,
     pack_backward,
     pack_forward,
     pack_logits,
@@ -283,6 +290,29 @@ def test_pack_equals_per_utterance(data):
     for name, ref in ref_sums.items():
         assert_close(encoder_grads[name], ref)
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    runs=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 4)), min_size=1, max_size=5),
+    widths=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    seed=st.integers(0, 2**16),
+)
+def test_run_stacked_terms_equal_per_utterance_loop(runs, widths, seed):
+    """One stacked matmul (and row sum) per run of equal lengths gives each
+    utterance's weight term (and bias term) bitwise, and the terms add left
+    to right in pack order: the sums of the per-utterance loop, including
+    one-frame utterances and width 1."""
+    lengths = tuple(frames for frames, count in runs for _ in range(count))
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.integers(-8, 8, size=(sum(lengths), 1))
+    a = rng.normal(size=(sum(lengths), widths[0])) * scales
+    b = rng.normal(size=(sum(lengths), widths[1]))
+    slices = _slices(lengths)
+    want = reduce(iadd, (a[s].T @ b[s] for s in slices))
+    np.testing.assert_array_equal(_summed_products(a, b, _runs(lengths)), want)
+    want = reduce(iadd, (a[s].sum(axis=0) for s in slices))
+    np.testing.assert_array_equal(_summed_row_sums(a, _runs(lengths)), want)
 
 
 @settings(max_examples=120, deadline=None)

@@ -712,13 +712,13 @@ class TestAnalyze:
         assert err.startswith("error[data]: utterance 0: clean and jittered features differ")
         assert list(out.iterdir()) == []
 
-    # numpy warns of the overflow; as an error the warning would surface as error[internal]
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_model_is_numeric_error(self, tmp_path, generated, capsys):
+    def _analyze_overflowing_model(self, tmp_path, generated, capsys, settings):
         # Finite float32 weights of 3e38 overflow the attention scores to inf
-        # and the logits to NaN; the figure is refused, not reported as nan.
+        # and the logits to NaN; the figure is refused, not reported as nan,
+        # and numpy prints no warning ahead of the error (under this suite's
+        # filterwarnings = error a warning would surface as error[internal]).
         cfg = tmp_path / "two-layers.cfg"
-        cfg.write_text("\n".join(s for s in FAST if s != "layers=1") + "\nlayers=2\n")
+        cfg.write_text("\n".join([*(s for s in FAST if s != "layers=1"), "layers=2", *settings]))
         pre = tmp_path / "pre"
         pre.mkdir()
         corpus = ["--corpus", str(generated / "train.corpus")]
@@ -749,4 +749,11 @@ class TestAnalyze:
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("error[numeric]: the ctc model's clean probability is nan")
+        assert err.count("\n") == 1
         assert list(out.iterdir()) == []
+
+    def test_overflowing_model_is_numeric_error(self, tmp_path, generated, capsys):
+        self._analyze_overflowing_model(tmp_path, generated, capsys, [])
+
+    def test_overflowing_dense_model_is_numeric_error(self, tmp_path, generated, capsys):
+        self._analyze_overflowing_model(tmp_path, generated, capsys, ["attn_window=0"])

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segctc import brute_force_ctc, ctc_loss, ctc_loss_and_grad, log_softmax
-from segctc.ctc import ctc_loss_packed
+from segctc.ctc import _pack, ctc_loss_packed
 from segctc.numerics import NEG_INF
 
 RTOL = 1e-12
@@ -101,16 +101,23 @@ def end_to_end(lattices):
     return np.concatenate(lattices), np.stack([ends - lengths, ends], axis=1)
 
 
+def flat(targets):
+    """ctc_loss_packed's target form of a list of targets: their labels end
+    to end and each target's length."""
+    targets = [np.asarray(target, dtype=int).reshape(-1) for target in targets]
+    return np.concatenate([np.zeros(0, dtype=int), *targets]), [t.size for t in targets]
+
+
 def packed_losses(lattices, targets):
     """ctc_loss_packed's forward-only losses over the lattices end to end."""
-    return ctc_loss_packed(*end_to_end(lattices), targets, with_grad=False)[0]
+    return ctc_loss_packed(*end_to_end(lattices), flat(targets), with_grad=False)[0]
 
 
 def packed_losses_and_grads(lattices, targets):
     """ctc_loss_packed's losses over the lattices end to end, and each
     lattice's rows of the pack gradient."""
     emissions, regions = end_to_end(lattices)
-    losses, grad = ctc_loss_packed(emissions, regions, targets, with_grad=True)
+    losses, grad = ctc_loss_packed(emissions, regions, flat(targets), with_grad=True)
     return losses, [grad[start:end] for start, end in regions]
 
 
@@ -238,8 +245,8 @@ class TestPacked:
         """Each region's loss and gradient rows match the reference on its
         lattice alone; every row outside a region has gradient exactly 0."""
         emissions, regions, targets = pack
-        losses, grad = ctc_loss_packed(emissions, regions, targets, with_grad=True)
-        forward_only, none = ctc_loss_packed(emissions, regions, targets, with_grad=False)
+        losses, grad = ctc_loss_packed(emissions, regions, flat(targets), with_grad=True)
+        forward_only, none = ctc_loss_packed(emissions, regions, flat(targets), with_grad=False)
         assert none is None
         assert grad.shape == emissions.shape
         inside = np.zeros(emissions.shape[0], dtype=bool)
@@ -255,6 +262,24 @@ class TestPacked:
             np.testing.assert_allclose(grad[start:end], ref_grad, rtol=RTOL, atol=RTOL)
         assert np.all(grad[~inside] == 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(packs())
+    def test_extended_labels_equal_per_region_fill(self, pack):
+        # The one scatter of the flat labels fills each batch row as the loop
+        # over regions filled it: target at the odd states, blank elsewhere;
+        # a mirrored batch holds the same rows at its even indices.
+        emissions, regions, targets = pack
+        regions = np.asarray(regions).reshape(-1, 2)
+        labels, counts = flat(targets)
+        forward = _pack(emissions, regions, labels, np.asarray(counts), mirrored=False)
+        states = [2 * len(targets[i]) + 1 for i in forward.order]
+        want = np.full((len(targets), max(states)), emissions.shape[1] - 1)
+        for row, i in enumerate(forward.order):
+            want[row, 1 : states[row] : 2] = targets[i]
+        np.testing.assert_array_equal(forward.ext, want)
+        mirrored = _pack(emissions, regions, labels, np.asarray(counts), mirrored=True)
+        np.testing.assert_array_equal(mirrored.ext[::2], want)
+
     @pytest.mark.parametrize(
         "regions",
         [[(0, 3), (2, 5)], [(4, 6), (0, 5)], [(1, 4), (1, 4)], [(-1, 2)], [(3, 7)], [(2, 2)]],
@@ -264,20 +289,20 @@ class TestPacked:
     def test_bad_regions_rejected(self, regions, with_grad):
         emissions = random_lattice(np.random.default_rng(5), 6, 3)
         with pytest.raises(ValueError):
-            ctc_loss_packed(emissions, regions, [[0]] * len(regions), with_grad)
+            ctc_loss_packed(emissions, regions, flat([[0]] * len(regions)), with_grad)
 
     def test_no_regions(self):
         emissions = random_lattice(np.random.default_rng(6), 4, 2)
-        losses, grad = ctc_loss_packed(emissions, [], [], with_grad=True)
+        losses, grad = ctc_loss_packed(emissions, [], flat([]), with_grad=True)
         assert losses.shape == (0,)
         assert grad.shape == emissions.shape and np.all(grad == 0.0)
 
 
 class TestBatchContract:
     def test_empty_batch(self):
-        losses, grad = ctc_loss_packed(np.zeros((0, 3)), [], [], with_grad=True)
+        losses, grad = ctc_loss_packed(np.zeros((0, 3)), [], flat([]), with_grad=True)
         assert losses.shape == (0,) and grad.shape == (0, 3)
-        assert ctc_loss_packed(np.zeros((0, 3)), [], [], with_grad=False)[0].shape == (0,)
+        assert ctc_loss_packed(np.zeros((0, 3)), [], flat([]), with_grad=False)[0].shape == (0,)
 
     def test_mismatched_lengths_rejected(self):
         rng = np.random.default_rng(3)

@@ -2,8 +2,55 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segctc import DimensionMismatchError, MaskSpec, apply_mask, merge_spans, sample_mask
+from segctc.masking import sample_masks
+
+
+def reference_merge_spans(spans, total_frames):
+    """merge_spans as the loop over sorted span tuples that the vectorized
+    merge replaced; kept here only as its reference."""
+    clipped = sorted(
+        (max(0, int(s)), min(int(e), total_frames)) for s, e in spans if int(e) > int(s)
+    )
+    merged = []
+    for start, end in clipped:
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return MaskSpec(tuple((s, e) for s, e in merged), total_frames)
+
+
+def reference_sample_mask(total_frames, start_prob, span_length, rng):
+    """sample_mask as one draw and one loop merge per utterance."""
+    n_starts = int(start_prob * total_frames)
+    if n_starts == 0:
+        return MaskSpec((), total_frames)
+    starts = rng.choice(total_frames, size=n_starts, replace=False)
+    return reference_merge_spans(((int(s), int(s) + span_length) for s in starts), total_frames)
+
+
+def reference_intervals_valid(intervals, total_frames):
+    """MaskSpec's check as the loop over intervals that it replaced."""
+    prev_end = None
+    for start, end in intervals:
+        if not (0 <= start < end <= total_frames):
+            return False
+        if prev_end is not None and start <= prev_end:
+            return False
+        prev_end = end
+    return True
+
+
+def outcome(build, *args):
+    """What build(*args) returns, or ValueError if it raises one."""
+    try:
+        return build(*args)
+    except ValueError:
+        return ValueError
 
 
 class TestMaskSpec:
@@ -66,7 +113,49 @@ class TestMergeSpans:
                 assert e1 < s2
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        total=st.integers(1, 40),
+        spans=st.lists(st.tuples(st.integers(-6, 46), st.integers(-6, 56)), max_size=12),
+        as_array=st.booleans(),
+    )
+    def test_equals_loop_merge(self, total, spans, as_array):
+        # Spans in any order, overlapping, touching, empty, reversed or out of
+        # range: the same MaskSpec as the loop merge, or ValueError from both.
+        raw = np.array(spans, dtype=int).reshape(-1, 2) if as_array else spans
+        assert outcome(merge_spans, raw, total) == outcome(reference_merge_spans, spans, total)
+
+
+class TestMaskSpecCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        total=st.integers(0, 12),
+        intervals=st.lists(st.tuples(st.integers(-2, 14), st.integers(-2, 14)), max_size=5),
+    )
+    def test_equals_loop_check(self, total, intervals):
+        valid = total >= 1 and reference_intervals_valid(intervals, total)
+        assert (outcome(MaskSpec, tuple(intervals), total) is not ValueError) == valid
+
+
 class TestSampleMask:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frames=st.lists(st.integers(1, 60), min_size=1, max_size=6),
+        start_prob=st.one_of(st.sampled_from([0.0, 0.08, 1.0]), st.floats(0.0, 1.0)),
+        span_length=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pack_equals_per_utterance_loop(self, frames, start_prob, span_length, seed):
+        # One merge over the pack gives each utterance the spec of its own
+        # draw and loop merge, also where a span runs to the utterance's end.
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(frames))]
+        got = sample_masks(frames, start_prob, span_length, rngs)
+        rngs = [np.random.default_rng([seed, i]) for i in range(len(frames))]
+        want = [reference_sample_mask(n, start_prob, span_length, r) for n, r in zip(frames, rngs)]
+        assert got == want
+        single = sample_mask(frames[0], start_prob, span_length, np.random.default_rng([seed, 0]))
+        assert single == want[0]
+
     def test_zero_probability_is_empty(self):
         rng = np.random.default_rng(1)
         spec = sample_mask(50, 0.0, 10, rng)

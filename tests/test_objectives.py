@@ -232,19 +232,6 @@ class TestJointLossBatch:
         assert breakdowns == []
         assert grad.shape == (0, 5)
 
-    def test_segment_targets_computed_once_per_item(self, monkeypatch):
-        items = self._batch(np.random.default_rng(16))
-        calls = []
-        real = segctc.objectives.segment_targets
-
-        def counting(ids, spec):
-            calls.append(spec)
-            return real(ids, spec)
-
-        monkeypatch.setattr(segctc.objectives, "segment_targets", counting)
-        joint_loss_batch(*pack(items), 0.5)
-        assert len(calls) == len(items)
-
     def test_alpha_zero_runs_ctc_forward_only(self, monkeypatch):
         items = self._batch(np.random.default_rng(17))
         expected = [masked_ctc_loss(*item)[0] for item in items]

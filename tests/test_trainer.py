@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import segctc.model
 import segctc.trainer
@@ -124,6 +126,57 @@ class TestAdamStep:
         for g in grads:
             adam_step(params, {"p": g}, state, hyper)
         np.testing.assert_allclose(p, ref, atol=1e-12)
+
+
+def reference_adam_step(params, grads, state, hyper):
+    """adam_step as the loop over parameters, with per-name moments in
+    `state` (a dict), that the flat update replaced; kept as its reference."""
+    state["step"] = t = state.get("step", 0) + 1
+    c1 = 1.0 - hyper.beta1**t
+    c2 = 1.0 - hyper.beta2**t
+    for name, p in params:
+        g = grads[name]
+        m = state.setdefault(("m", name), np.zeros_like(p))
+        v = state.setdefault(("v", name), np.zeros_like(p))
+        m *= hyper.beta1
+        m += (1.0 - hyper.beta1) * g
+        v *= hyper.beta2
+        v += (1.0 - hyper.beta2) * g * g
+        p -= hyper.lr * (m / c1) / (np.sqrt(v / c2) + hyper.eps)
+        if hyper.weight_decay:
+            p -= hyper.lr * hyper.weight_decay * p
+
+
+class TestFlatAdam:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=3), min_size=1, max_size=6
+        ),
+        steps=st.integers(1, 6),
+        weight_decay=st.sampled_from([0.0, 0.01, 0.5]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_per_parameter_loop(self, shapes, steps, weight_decay, seed):
+        # Several steps on parameters of mixed shapes and scales: every value
+        # is bitwise the per-parameter update's, written into the same arrays.
+        rng = np.random.default_rng(seed)
+        params = [
+            (f"p{i}", rng.normal(scale=10.0 ** rng.integers(-3, 3), size=shape))
+            for i, shape in enumerate(shapes)
+        ]
+        want = copy.deepcopy(params)
+        arrays = [p for _, p in params]
+        state, ref_state = AdamState(), {}
+        for step in range(steps):
+            grads = {name: rng.normal(size=p.shape) * (step % 3) for name, p in params}
+            hyper = AdamHyper(lr=10.0 ** -rng.integers(1, 5), weight_decay=weight_decay)
+            adam_step(params, grads, state, hyper)
+            reference_adam_step(want, grads, ref_state, hyper)
+        assert state.step == steps
+        for (_, got), (_, ref), array in zip(params, want, arrays):
+            assert got is array
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestTrainConfig:
