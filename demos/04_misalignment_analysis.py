@@ -13,11 +13,10 @@ from segctc import (
     compare_models,
     eval_split,
     gen_corpus,
-    init_model,
-    seeded_rng,
     train,
 )
 from segctc.analysis import format_report
+from segctc.cli import ExperimentConfig, pretraining_model
 
 corpus_cfg = CorpusConfig(
     utterances=100,
@@ -37,17 +36,9 @@ print(f"train: {len(corpus.utterances)} utterances; eval: {len(clean.utterances)
 
 
 def pretrain(alpha, steps=1200):
-    model = init_model(
-        feature_dim=corpus.feature_dim,
-        model_dim=32,
-        embed_dim=16,
-        vocab=corpus.vocab,
-        n_blocks=2,
-        rng=seeded_rng(1, 2),
-        attention=True,
-        attn_window=3,
-        nonlin="relu",
-    )
+    # `segctc pretrain`'s fresh model for the default encoder at seed 1; its
+    # feature dimension and vocabulary come from the corpus
+    model = pretraining_model(ExperimentConfig(seed=1), corpus)
     cfg = TrainConfig(
         steps=steps,
         batch_size=8,

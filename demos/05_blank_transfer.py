@@ -9,18 +9,16 @@ import numpy as np
 
 from segctc import (
     CorpusConfig,
-    Model,
     TrainConfig,
     TrainingMode,
     compute_logits,
     extract_blank_params,
     finetune,
     gen_corpus,
-    init_finetune_head,
-    init_model,
     seeded_rng,
     train,
 )
+from segctc.cli import ExperimentConfig, finetuning_model, pretraining_model
 
 corpus_cfg = CorpusConfig(
     utterances=80,
@@ -36,17 +34,12 @@ corpus_cfg = CorpusConfig(
 )
 corpus = gen_corpus(corpus_cfg)
 
+# The models `segctc pretrain` and `segctc finetune` build under this encoder
+# config; the feature dimension and vocabulary come from the corpus.
+model_cfg = ExperimentConfig(d_model=24, d_embed=12, attn_window=6, nonlin="tanh", seed=2)
+
 print("pretraining with 0.5 CE + 0.5 CTC...")
-model = init_model(
-    feature_dim=corpus.feature_dim,
-    model_dim=24,
-    embed_dim=12,
-    vocab=corpus.vocab,
-    n_blocks=2,
-    rng=seeded_rng(2, 2),
-    attention=True,
-    attn_window=6,
-)
+model = pretraining_model(model_cfg, corpus)
 train(
     corpus,
     TrainConfig(steps=800, batch_size=8, lr_peak=5e-3, lr_warmup_steps=80,
@@ -66,10 +59,7 @@ print()
 print("finetuning 50 steps with a fresh affine head...")
 losses = {}
 for label, seed_blank in (("random blank row", None), ("loaded blank row", blank)):
-    head = init_finetune_head(
-        seed_blank, vocab=corpus.vocab, model_dim=24, rng=seeded_rng(2, 3)
-    )
-    ft_model = Model(encoder=model.encoder, head=head)
+    ft_model = finetuning_model(model_cfg, corpus, model, seed_blank)
     cfg = TrainConfig(steps=50, batch_size=8, lr_peak=2e-3, lr_warmup_steps=10,
                       mode=TrainingMode(alpha=1.0), seed=2)
     _, metrics = finetune(corpus, cfg, ft_model)

@@ -43,7 +43,7 @@ from .model import (
 )
 from .objectives import TrainingMode
 from .seeding import seeded_rng
-from .synthesis import CorpusConfig, eval_split, gen_corpus, load_corpus, save_corpus
+from .synthesis import Corpus, CorpusConfig, eval_split, gen_corpus, load_corpus, save_corpus
 from .trainer import TrainConfig, finetune, format_metrics, train
 
 _MODEL_INIT_STREAM = 2
@@ -236,10 +236,9 @@ def _write_run(out_dir: Path, model: Model, metrics) -> None:
     save_checkpoint(model, out_dir / "checkpoint.bin")
 
 
-def cmd_pretrain(cfg: ExperimentConfig, corpus_path, out_dir: Path) -> None:
-    """Train a fresh model on a corpus's noisy ids; write checkpoint and log."""
-    corpus = load_corpus(corpus_path)
-    model = init_model(
+def pretraining_model(cfg: ExperimentConfig, corpus: Corpus) -> Model:
+    """The fresh model `pretrain` trains on `corpus` under `cfg`."""
+    return init_model(
         feature_dim=corpus.feature_dim,
         model_dim=cfg.d_model,
         embed_dim=cfg.d_embed,
@@ -251,7 +250,21 @@ def cmd_pretrain(cfg: ExperimentConfig, corpus_path, out_dir: Path) -> None:
         n_pos=cfg.n_pos,
         attn_window=cfg.attn_window,
     )
-    _write_run(out_dir, *train(corpus, cfg.train_config(), model))
+
+
+def finetuning_model(cfg: ExperimentConfig, corpus: Corpus, pretrained: Model, blank=None) -> Model:
+    """The model `finetune` trains on `corpus` under `cfg`: the pretrained
+    encoder under a fresh affine head over the corpus's vocab, whose blank
+    row comes from the BlankParams `blank` when given."""
+    rng = seeded_rng(cfg.seed, _HEAD_INIT_STREAM)
+    head = init_finetune_head(blank, corpus.vocab, pretrained.encoder.model_dim, rng)
+    return Model(encoder=pretrained.encoder, head=head)
+
+
+def cmd_pretrain(cfg: ExperimentConfig, corpus_path, out_dir: Path) -> None:
+    """Train a fresh model on a corpus's noisy ids; write checkpoint and log."""
+    corpus = load_corpus(corpus_path)
+    _write_run(out_dir, *train(corpus, cfg.train_config(), pretraining_model(cfg, corpus)))
 
 
 def cmd_finetune(
@@ -271,15 +284,8 @@ def cmd_finetune(
             f"{pretrained.encoder.feature_dim}"
         )
     blank = read_blank_params(blank_path) if blank_path else None
-    head = init_finetune_head(
-        blank,
-        vocab=corpus.vocab,
-        model_dim=pretrained.encoder.model_dim,
-        rng=seeded_rng(cfg.seed, _HEAD_INIT_STREAM),
-    )
-    model = Model(encoder=pretrained.encoder, head=head)
-    run = finetune(corpus, cfg.train_config(), model, freeze_encoder=freeze_encoder)
-    _write_run(out_dir, *run)
+    model = finetuning_model(cfg, corpus, pretrained, blank)
+    _write_run(out_dir, *finetune(corpus, cfg.train_config(), model, freeze_encoder=freeze_encoder))
 
 
 def cmd_analyze(ce_checkpoint, ctc_checkpoint, clean_path, jittered_path, out_dir: Path) -> str:

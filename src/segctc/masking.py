@@ -5,15 +5,18 @@ region where it starts past the running maximum (np.maximum.accumulate) of
 the earlier ends, and a region ends at that maximum. A training batch draws
 each utterance's starts from its own keyed generator, so no draw depends on
 the batch, and merges them all at once with the utterances laid end to end
-(sample_masks); its masked regions then become one (R, 2) array of pack
-rows (pack_regions), from which the loss takes its masked rows and targets
-and the backward its mask-embedding rows.
+(sample_masks). Its masked regions come out as the one form a training step
+gives them: an (R, 2) int array of [start, end) pack rows, utterance by
+utterance, from which the encoder takes the rows it writes the mask
+embedding into and the loss its masked rows and targets. A MaskSpec is one
+utterance's regions for the public single-utterance entry points, which
+convert it to that array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from operator import index
 
 import numpy as np
 
@@ -25,17 +28,22 @@ class MaskSpec:
     """Sorted, disjoint, non-adjacent masked [start, end) intervals over T frames.
 
     Each maximal interval is one masked region; touching or overlapping raw
-    spans must be merged before construction (see merge_spans).
+    spans must be merged before construction (see merge_spans). `intervals`
+    may be any sequence of integer pairs, an (R, 2) int array included, and
+    is stored as a tuple of (int, int) pairs, so equal intervals give equal
+    specs; a non-integer bound is a TypeError.
     """
 
     intervals: tuple[tuple[int, int], ...]
     total_frames: int
 
     def __post_init__(self):
+        # the frozen class refuses attribute assignment, not its instance dict
+        self.__dict__["intervals"] = tuple((index(a), index(b)) for a, b in self.intervals)
         if self.total_frames < 1:
             raise ValueError("total_frames must be >= 1")
         # 0 <= start < end < next start < ... < last end <= total_frames
-        edges = [-1, *chain.from_iterable(self.intervals), self.total_frames + 1]
+        edges = [-1, *(x for interval in self.intervals for x in interval), self.total_frames + 1]
         if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError(
                 f"intervals {self.intervals} of {self.total_frames} frames must be sorted, "
@@ -92,16 +100,19 @@ def sample_mask(
             "sample_mask needs total_frames >= 1, start_prob in [0, 1] and span_length >= 1, "
             f"got {total_frames}, {start_prob} and {span_length}"
         )
-    return sample_masks([total_frames], start_prob, span_length, [rng])[0]
+    regions = sample_masks([total_frames], start_prob, span_length, [rng])
+    return MaskSpec(regions.tolist(), total_frames)
 
 
-def sample_masks(frames, start_prob: float, span_length: int, rngs) -> list[MaskSpec]:
-    """sample_mask(frames[i], start_prob, span_length, rngs[i]) of every
-    utterance of a pack, with one merge for all of them: each draws its
-    starts from its own generator, and the utterances lie end to end with
-    one free row after each, so that no span reaches into the next. The
-    arguments must be valid for sample_mask, which checks them (TrainConfig
-    checks a training run's)."""
+def sample_masks(frames, start_prob: float, span_length: int, rngs) -> np.ndarray:
+    """The regions of sample_mask(frames[i], start_prob, span_length,
+    rngs[i]) of every utterance of a pack, as one (R, 2) int array of
+    [start, end) pack rows, utterance by utterance, each in interval order.
+    One merge serves them all: each utterance draws its starts from its own
+    generator, and the utterances lie end to end with one free row after
+    each, so that no span reaches into the next; a region's pack rows are
+    its merge rows less its owner's index. The arguments must be valid for
+    sample_mask, which checks them (TrainConfig checks a training run's)."""
     draws = [rng.choice(n, size=int(start_prob * n), replace=False) for n, rng in zip(frames, rngs)]
     firsts = np.cumsum([0, *(n + 1 for n in frames)])
     counts = [draw.size for draw in draws]
@@ -110,18 +121,7 @@ def sample_masks(frames, start_prob: float, span_length: int, rngs) -> list[Mask
     starts, lasts = np.sort(starts), np.repeat(firsts[1:] - 1, counts)
     starts, ends = _merged(starts, np.minimum(starts + span_length, lasts))
     owner = np.searchsorted(firsts, starts, side="right") - 1
-    pairs = list(zip((starts - firsts[owner]).tolist(), (ends - firsts[owner]).tolist()))
-    cuts = [0, *accumulate(np.bincount(owner, minlength=len(frames)).tolist())]
-    return [MaskSpec(tuple(pairs[a:b]), n) for n, a, b in zip(frames, cuts, cuts[1:])]
-
-
-def pack_regions(specs) -> np.ndarray:
-    """The masked intervals of utterances laid end to end along time, each
-    with its MaskSpec in `specs`: one (R, 2) int array of [start, end) pack
-    rows, utterance by utterance, each in interval order."""
-    offsets = accumulate([spec.total_frames for spec in specs], initial=0)
-    rows = [x + offset for spec, offset in zip(specs, offsets) for iv in spec.intervals for x in iv]
-    return np.array(rows, dtype=int).reshape(-1, 2)
+    return np.column_stack((starts, ends)) - owner[:, None]
 
 
 def apply_mask(features, spec: MaskSpec, mask_embedding) -> np.ndarray:

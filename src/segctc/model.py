@@ -33,7 +33,11 @@ gradients) equal the utterances' own wherever BLAS picks the same kernel for
 both shapes, so the sum is then bitwise that of the utterances' gradients.
 pack_backward takes one logit gradient laid out like the pack,
 (sum T, V+1), and skips the encoder when only the head is trained.
-model_forward and model_backward are the pack of one.
+pack_forward writes the mask embedding into the input of the pack rows it
+is given, the masked regions of a training step, and records those rows;
+pack_backward adds their input gradients into the embedding's gradient,
+one sum per utterance. model_forward and model_backward are the pack of one,
+on input masked beforehand (masking.apply_mask).
 
 One encoder forward serves two callers. pack_forward keeps the backward
 record (the joined input, each block's input and output, the padded q, k,
@@ -468,9 +472,10 @@ def _band_half_width(params: EncoderParams, lengths) -> int:
     return min(params.attn_window, max(lengths) - 1)
 
 
-def _encoder_forward(features, params: EncoderParams, record: bool):
-    """Hidden states (sum T, d_model) of the already-masked (T_i, d) frames
-    of every utterance in `features`, laid end to end along time, and the
+def _encoder_forward(features, params: EncoderParams, record: bool, masked=()):
+    """Hidden states (sum T, d_model) of the (T_i, d) frames of every
+    utterance in `features`, laid end to end along time, with the mask
+    embedding in place of the frames of the pack rows `masked`, and the
     pack's cache: its lengths and slices, and with `record` what
     _encoder_backward reads (the joined input and each block's record).
     Every step writes into the array it produces; without `record` no
@@ -489,6 +494,7 @@ def _encoder_forward(features, params: EncoderParams, record: bool):
         [_position_table(frames, params.n_pos) for frames in lengths],
         out=xin[:, params.feature_dim :],
     )
+    xin[masked, : params.feature_dim] = params.mask_embedding
     h = _affine(xin, params.input_weight, params.input_bias)
     slices = _slices(lengths)
     cache = {"lengths": lengths, "slices": slices, "runs": _runs(lengths)}
@@ -576,14 +582,16 @@ def compute_logits(hidden, head) -> np.ndarray:
     raise TypeError(f"unknown head type {type(head).__name__}")
 
 
-def pack_forward(model: Model, features) -> tuple[np.ndarray, dict]:
+def pack_forward(model: Model, features, masked=()) -> tuple[np.ndarray, dict]:
     """Logits (sum T, V+1) of the (T_i, d) utterances in `features`, laid end
-    to end along time, plus the cache pack_backward reads: the pack's
-    slices (the rows of each utterance, in pack order), its hidden states
-    and the encoder's backward record. For a caller that reads only the
-    logits, pack_logits runs the same forward and keeps no record."""
-    hidden, cache = _encoder_forward(features, model.encoder, record=True)
-    cache["hidden"] = hidden
+    to end along time, with the mask embedding as the input frame of each
+    of the sorted int pack rows `masked`, plus the cache pack_backward
+    reads: the pack's slices (the rows of each utterance, in pack order),
+    its masked rows, its hidden states and the encoder's backward record.
+    For a caller that reads only the logits, pack_logits runs the same
+    forward and keeps no record."""
+    hidden, cache = _encoder_forward(features, model.encoder, record=True, masked=masked)
+    cache.update(hidden=hidden, masked=np.asarray(masked, dtype=int))
     return compute_logits(hidden, model.head), cache
 
 
@@ -594,20 +602,17 @@ def pack_logits(model: Model, features) -> tuple[np.ndarray, list[slice]]:
     return compute_logits(hidden, model.head), cache["slices"]
 
 
-def pack_backward(
-    model: Model, cache, dlogits, masked_rows, with_encoder: bool = True
-) -> dict[str, np.ndarray]:
+def pack_backward(model: Model, cache, dlogits, with_encoder: bool = True) -> dict[str, np.ndarray]:
     """Parameter gradients of the summed loss of the utterances of a
     pack_forward cache, for its (sum T, V+1) logit gradient `dlogits`, laid
     out like the pack.
 
     Each gradient adds one term per utterance, formed on that utterance's
     rows by one stacked product per run of equal lengths, left to right in
-    pack order; a pack of one is its utterance alone.
-    `masked_rows[i]` are utterance i's frame indices whose input was the mask
-    embedding (or None); their input gradients accumulate into the mask
-    embedding's gradient. Without `with_encoder` only the head's gradients
-    are formed and the encoder backward does not run.
+    pack order; a pack of one is its utterance alone. The mask embedding's
+    gradient adds, left to right, each utterance's sum of the input
+    gradients of its masked rows (the cache's). Without `with_encoder` only
+    the head's gradients are formed and the encoder backward does not run.
     """
     dlogits = np.asarray(dlogits, dtype=float)
     hidden, slices, runs = cache["hidden"], cache["slices"], cache["runs"]
@@ -632,8 +637,9 @@ def pack_backward(
         return grads
     encoder_grads, dx = _encoder_backward(dout @ weight, model.encoder, cache)
     grads.update(encoder_grads)
-    masked = (dx[s][rows].sum(axis=0) for s, rows in zip(slices, masked_rows) if rows is not None)
-    grads["encoder.mask_embedding"] = reduce(iadd, masked, np.zeros(model.encoder.feature_dim))
+    cuts = np.searchsorted(cache["masked"], [s.stop for s in slices[:-1]])
+    sums = (rows.sum(axis=0) for rows in np.split(dx[cache["masked"]], cuts))
+    grads["encoder.mask_embedding"] = reduce(iadd, sums, np.zeros(model.encoder.feature_dim))
     return grads
 
 
@@ -644,8 +650,11 @@ def model_forward(model: Model, features) -> tuple[np.ndarray, dict]:
 
 def model_backward(model: Model, cache, dlogits, masked_rows=None) -> dict[str, np.ndarray]:
     """Parameter gradients of one utterance for a loss whose logit gradient
-    is `dlogits`; `masked_rows` as in pack_backward."""
-    return pack_backward(model, cache, dlogits, [masked_rows])
+    is `dlogits`. `masked_rows` index the frames (int indices or a boolean
+    mask, or None for none) whose input model_forward was given as the mask
+    embedding; their input gradients add up to the embedding's gradient."""
+    masked = np.arange(len(cache["hidden"]))[[] if masked_rows is None else masked_rows]
+    return pack_backward(model, {**cache, "masked": masked}, dlogits)
 
 
 def named_params(model: Model) -> list[tuple[str, np.ndarray]]:

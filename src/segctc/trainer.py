@@ -8,8 +8,12 @@ its utterances on the packed log-probabilities with one CTC call, then runs
 one packed backward on the packed logit gradient, which returns the gradient
 of the batch's summed loss, reduced in sorted utterance order
 (segctc.model); the step divides it by the batch size. The masked regions
-are one array of pack rows, built once per step, for the loss and for the
-mask embedding's gradient. A frozen finetune stops the backward at the head.
+take one form from the draw on: the (R, 2) array of pack rows that
+sample_masks returns. The forward writes the mask embedding into their rows
+of the pack, the loss scores them, and the backward sums the input
+gradients of those rows into the embedding's gradient; no step builds a
+MaskSpec or a masked copy of an utterance. A frozen finetune stops the
+backward at the head.
 AdamW updates every trainable parameter as one flat vector, with the
 element-wise expressions of a per-parameter update and so its bits.
 
@@ -34,14 +38,14 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, ShapeMismatchError
-from .masking import MaskSpec, apply_mask, pack_regions, sample_masks
+from .masking import MaskSpec, sample_masks
 from .model import Model, named_params, pack_backward, pack_forward
 from .numerics import concat_ranges, left_sum, log_softmax
 from .objectives import (
     LossBreakdown,
     TrainingMode,
     effective_alpha,
-    joint_loss_batch,
+    joint_loss_pack,
     segment_ctc_terms,
 )
 from .seeding import seeded_rng
@@ -164,28 +168,30 @@ def format_metrics(metrics) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _pretrain_batch(model: Model, batch, alpha: float) -> tuple[list[LossBreakdown], dict]:
-    """Masked joint loss of every (features, ids, spec) item, in item order,
-    and the parameter gradients of their sum: one packed forward, one
-    joint-loss call over the pack, then one packed backward."""
-    if any(len(ids) != spec.total_frames for _, ids, spec in batch):
+def _pretrain_batch(model: Model, features, ids, regions, alpha: float):
+    """Masked joint loss of every utterance, in order, and the parameter
+    gradients of their sum: one packed forward, one joint-loss call over the
+    pack, then one packed backward. Utterance i has the (T_i, d) frames
+    features[i] and the T_i ids ids[i]; `regions` holds the (R, 2) pack rows
+    of the masked regions of all of them, utterance by utterance."""
+    lengths = [len(x) for x in features]
+    if any(len(utt_ids) != n for utt_ids, n in zip(ids, lengths)):
         raise DimensionMismatchError("every utterance needs one id per frame")
-    masked = [apply_mask(x, spec, model.encoder.mask_embedding) for x, _, spec in batch]
-    logits, cache = pack_forward(model, masked)
-    ids = np.concatenate([ids for _, ids, _ in batch])
-    specs = [spec for _, _, spec in batch]
-    regions = pack_regions(specs)
-    breakdowns, dlogits = joint_loss_batch(log_softmax(logits, axis=1), ids, specs, alpha, regions)
-    is_masked = np.zeros(ids.size, dtype=bool)
-    is_masked[concat_ranges(regions[:, 0], regions[:, 1] - regions[:, 0])] = True
-    return breakdowns, pack_backward(model, cache, dlogits, [is_masked[s] for s in cache["slices"]])
+    masked = concat_ranges(regions[:, 0], regions[:, 1] - regions[:, 0])
+    logits, cache = pack_forward(model, features, masked)
+    log_probs = log_softmax(logits, axis=1)
+    breakdowns, dlogits = joint_loss_pack(log_probs, np.concatenate(ids), lengths, regions, alpha)
+    return breakdowns, pack_backward(model, cache, dlogits)
 
 
 def pretrain_loss_and_grads(
-    model: Model, features, ids, spec, alpha: float
+    model: Model, features, ids, spec: MaskSpec, alpha: float
 ) -> tuple[LossBreakdown, dict]:
     """Masked joint loss of one utterance plus gradients for every parameter."""
-    (breakdown,), grads = _pretrain_batch(model, [(features, ids, spec)], alpha)
+    if spec.total_frames != len(features):
+        raise DimensionMismatchError("the mask spec must cover every frame of the features")
+    regions = np.array(spec.intervals, dtype=int).reshape(-1, 2)
+    (breakdown,), grads = _pretrain_batch(model, [features], [ids], regions, alpha)
     return breakdown, grads
 
 
@@ -199,9 +205,10 @@ def _finetune_batch(model: Model, batch, with_encoder=True) -> tuple[list[LossBr
         raise DimensionMismatchError("every utterance needs one label id per frame")
     logits, cache = pack_forward(model, [x for x, _ in batch])
     ids = np.concatenate([label_ids for _, label_ids in batch])
-    specs = [MaskSpec(((0, len(x)),), len(x)) for x, _ in batch]
-    losses, tokens, dlogits = segment_ctc_terms(log_softmax(logits, axis=1), ids, specs, True)
-    grads = pack_backward(model, cache, dlogits, [None] * len(batch), with_encoder)
+    log_probs = log_softmax(logits, axis=1)
+    regions = np.array([(rows.start, rows.stop) for rows in cache["slices"]])
+    losses, tokens, dlogits = segment_ctc_terms(log_probs, ids, cache["lengths"], regions, True)
+    grads = pack_backward(model, cache, dlogits, with_encoder)
     # (ce, ctc, combined, masked_frames, target_tokens): CTC alone, nothing masked
     return [LossBreakdown(0.0, loss, loss, 0, n) for loss, n in zip(losses, tokens)], grads
 
@@ -293,11 +300,11 @@ def train(corpus: Corpus, cfg: TrainConfig, model: Model):
     """Masked pretraining on the corpus's noisy ids under the configured mode."""
 
     def batch_fn(indices, step: int, alpha: float):
-        utts = [corpus.utterances[idx] for idx in indices]
+        features = [corpus.utterances[idx].features for idx in indices]
+        ids = [corpus.utterances[idx].noisy_ids for idx in indices]
         rngs = [seeded_rng(cfg.seed, _MASK_STREAM, idx, step) for idx in indices]
-        specs = sample_masks([len(utt.features) for utt in utts], cfg.mask_p, cfg.mask_l, rngs)
-        batch = [(utt.features, utt.noisy_ids, spec) for utt, spec in zip(utts, specs)]
-        return _pretrain_batch(model, batch, alpha)
+        regions = sample_masks([len(x) for x in features], cfg.mask_p, cfg.mask_l, rngs)
+        return _pretrain_batch(model, features, ids, regions, alpha)
 
     return model, _run_loop(corpus, cfg, batch_fn, named_params(model))
 

@@ -15,7 +15,6 @@ import pytest
 from segctc import (
     BlankParams,
     EmbeddingHead,
-    Model,
     TrainingMode,
     avg_posterior,
     brute_force_ctc,
@@ -28,7 +27,6 @@ from segctc import (
     extract_blank_params,
     finetune,
     gen_corpus,
-    init_finetune_head,
     init_model,
     joint_loss,
     log_softmax,
@@ -42,7 +40,7 @@ from segctc import (
     train,
     write_blank_params,
 )
-from segctc.cli import ExperimentConfig, main
+from segctc.cli import ExperimentConfig, finetuning_model, main, pretraining_model
 
 DEFAULTS = ExperimentConfig()
 
@@ -302,19 +300,8 @@ def experiment_train_config(alpha, seed, ce_warmup=0):
     )
 
 
-def experiment_model(seed):
-    return init_model(
-        feature_dim=16,
-        model_dim=DEFAULTS.d_model,
-        embed_dim=DEFAULTS.d_embed,
-        vocab=20,
-        n_blocks=DEFAULTS.layers,
-        rng=seeded_rng(seed, 2),
-        attention=bool(DEFAULTS.attention),
-        nonlin=DEFAULTS.nonlin,
-        n_pos=DEFAULTS.n_pos,
-        attn_window=DEFAULTS.attn_window,
-    )
+def experiment_model(seed, corpus):
+    return pretraining_model(dataclasses.replace(DEFAULTS, seed=seed), corpus)
 
 
 def smoothed(metrics, lo, hi):
@@ -331,7 +318,7 @@ def misalignment_runs():
         clean, jittered = eval_split(corpus_cfg, DEFAULTS.eval_utterances)
         per_seed = {"corpus": corpus, "clean": clean, "jittered": jittered}
         for label, alpha in (("ce", 0.0), ("joint", 0.5)):
-            model = experiment_model(seed)
+            model = experiment_model(seed, corpus)
             model, metrics = train(corpus, experiment_train_config(alpha, seed), model)
             clean_prob = avg_posterior(model, clean.utterances)
             degraded_prob = avg_posterior(model, jittered.utterances)
@@ -379,13 +366,9 @@ def test_criterion_7_blank_transfer_direction(misalignment_runs):
         )
         losses = {}
         for label, seed_blank in (("with", blank), ("without", None)):
-            head = init_finetune_head(
-                seed_blank,
-                vocab=corpus.vocab,
-                model_dim=pretrained.encoder.model_dim,
-                rng=seeded_rng(seed, 3),
+            model = finetuning_model(
+                dataclasses.replace(DEFAULTS, seed=seed), corpus, pretrained, seed_blank
             )
-            model = Model(encoder=pretrained.encoder, head=head)
             _, metrics = finetune(corpus, cfg, model)
             losses[label] = float(np.mean([m.combined for m in metrics]))
             means[label].append(losses[label])
@@ -409,7 +392,7 @@ def test_criterion_8_warmup_protocol(misalignment_runs):
     seed = 0
     corpus = misalignment_runs[seed]["corpus"]
     warm_cfg = experiment_train_config(1.0, seed, ce_warmup=200)
-    _, warm_metrics = train(corpus, warm_cfg, experiment_model(seed))
+    _, warm_metrics = train(corpus, warm_cfg, experiment_model(seed, corpus))
     alphas = [m.alpha for m in warm_metrics]
     assert all(a == 0.0 for a in alphas[:200])
     assert all(a == 1.0 for a in alphas[200:])
@@ -420,7 +403,7 @@ def test_criterion_8_warmup_protocol(misalignment_runs):
 
     # cold pure-CTC run: measured and reported, not gated
     cold_cfg = experiment_train_config(1.0, seed)
-    _, cold_metrics = train(corpus, cold_cfg, experiment_model(seed))
+    _, cold_metrics = train(corpus, cold_cfg, experiment_model(seed, corpus))
     warm_end = smoothed(warm_metrics, -100, None)
     cold_end = smoothed(cold_metrics, -100, None)
     print(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from segctc import (
     MaskSpec,
     Model,
+    apply_mask,
     check_gradient,
     compute_logits,
     encoder_forward,
@@ -28,6 +29,7 @@ from segctc import (
     named_params,
     position_channels,
     pretrain_loss_and_grads,
+    sample_mask,
     seeded_rng,
 )
 from segctc.model import (
@@ -252,9 +254,12 @@ def test_pack_equals_per_utterance(data):
         np.flatnonzero(rng.random(frames) < 0.3) if rng.random() < 0.7 else None
         for frames in lengths
     ]
+    firsts = np.cumsum([0, *lengths])
+    masked = [rows + first for rows, first in zip(masked_rows, firsts) if rows is not None]
+    masked = np.concatenate([np.zeros(0, dtype=int), *masked])
 
-    logits, cache = pack_forward(model, features)
-    grads = pack_backward(model, cache, np.concatenate(dlogits), masked_rows)
+    logits, cache = pack_forward(model, features, masked)
+    grads = pack_backward(model, cache, np.concatenate(dlogits))
     half = min(window, max(lengths) - 1)
     same_band = window == 0 or all(min(window, frames - 1) == half for frames in lengths)
     exact = same_band and (min(lengths) > 1 or len(lengths) == 1)
@@ -262,6 +267,9 @@ def test_pack_equals_per_utterance(data):
     want = {}
     packed = [logits[s] for s in cache["slices"]]
     for x, got_logits, dl, rows in zip(features, packed, dlogits, masked_rows):
+        if rows is not None:
+            x = x.copy()
+            x[rows] = model.encoder.mask_embedding
         want_logits, one = model_forward(model, x)
         check(got_logits, want_logits)
         for name, grad in model_backward(model, one, dl, masked_rows=rows).items():
@@ -290,6 +298,58 @@ def test_pack_equals_per_utterance(data):
     for name, ref in ref_sums.items():
         assert_close(encoder_grads[name], ref)
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_masked_pack_equals_apply_mask_per_utterance(data):
+    """pack_forward over the pack rows of every utterance's masked frames,
+    then pack_backward, gives bit for bit each utterance's logits from
+    apply_mask and model_forward, and the pack-order sum of its
+    model_backward(masked_rows=) gradients, the mask embedding's included:
+    1-9 utterances, windows 0, 1 and 3, empty, sampled and whole-utterance
+    masks, the rows as indices or as a boolean mask. Every utterance is
+    longer than the widest band, so each has the pack's band (see
+    test_pack_equals_per_utterance)."""
+    lengths = data.draw(st.lists(st.integers(4, 20), min_size=1, max_size=9), label="lengths")
+    window = data.draw(st.sampled_from([0, 1, 3]), label="window")
+    nonlin = data.draw(st.sampled_from(["tanh", "relu"]), label="nonlin")
+    flags = data.draw(st.lists(st.booleans(), min_size=1, max_size=2), label="attention")
+    affine = data.draw(st.booleans(), label="affine head")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    model = pack_model(seed, window, flags, nonlin, affine)
+    rng = seeded_rng(seed, 67)
+    specs = []
+    for frames in lengths:
+        kind = data.draw(st.sampled_from(["empty", "sampled", "whole"]), label="mask")
+        if kind == "empty":
+            specs.append(MaskSpec((), frames))
+        elif kind == "whole":
+            specs.append(MaskSpec([(0, frames)], frames))
+        else:
+            specs.append(sample_mask(frames, 0.2, 3, rng))
+    features = [rng.normal(size=(frames, 3)) for frames in lengths]
+    dlogits = [rng.normal(size=(frames, 5)) for frames in lengths]
+    firsts = np.cumsum([0, *lengths])
+    masked = [np.flatnonzero(spec.frame_mask()) + first for spec, first in zip(specs, firsts)]
+
+    logits, cache = pack_forward(model, features, np.concatenate(masked))
+    grads = pack_backward(model, cache, np.concatenate(dlogits))
+    want = {}
+    for x, spec, rows, dl in zip(features, specs, cache["slices"], dlogits):
+        masked_x = apply_mask(x, spec, model.encoder.mask_embedding)
+        want_logits, one = model_forward(model, masked_x)
+        np.testing.assert_array_equal(logits[rows], want_logits)
+        frames = spec.frame_mask()
+        if not data.draw(st.booleans(), label="boolean rows"):
+            frames = np.flatnonzero(frames)
+        for name, grad in model_backward(model, one, dl, masked_rows=frames).items():
+            want[name] = want.get(name, 0) + grad
+    assert grads.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(grads[name], want[name], err_msg=name)
+    if not any(spec.intervals for spec in specs):
+        assert not grads["encoder.mask_embedding"].any()
 
 
 @settings(max_examples=300, deadline=None)

@@ -73,6 +73,19 @@ class TestMaskSpec:
         )
         assert spec.masked_frames == 3
 
+    def test_intervals_stored_as_tuple_of_int_pairs(self):
+        # A list, a list of lists and an int array give the spec of the
+        # tuple, hashable and equal to it.
+        want = MaskSpec(((1, 4), (6, 8)), 10)
+        for intervals in ([(1, 4), (6, 8)], [[1, 4], [6, 8]], np.array([[1, 4], [6, 8]])):
+            spec = MaskSpec(intervals, 10)
+            assert spec == want
+            assert hash(spec) == hash(want)
+            assert all(type(x) is int for pair in spec.intervals for x in pair)
+        assert MaskSpec([], 10) == MaskSpec((), 10)
+        with pytest.raises(TypeError):
+            MaskSpec([(1.0, 4)], 10)
+
 
 class TestMergeSpans:
     def test_single_full_cover_span(self):
@@ -146,13 +159,19 @@ class TestSampleMask:
         seed=st.integers(0, 2**16),
     )
     def test_pack_equals_per_utterance_loop(self, frames, start_prob, span_length, seed):
-        # One merge over the pack gives each utterance the spec of its own
-        # draw and loop merge, also where a span runs to the utterance's end.
+        # One merge over the pack gives the pack rows of each utterance's
+        # regions from its own draw and loop merge, utterance by utterance,
+        # also where a span runs to the utterance's end.
         rngs = [np.random.default_rng([seed, i]) for i in range(len(frames))]
         got = sample_masks(frames, start_prob, span_length, rngs)
         rngs = [np.random.default_rng([seed, i]) for i in range(len(frames))]
         want = [reference_sample_mask(n, start_prob, span_length, r) for n, r in zip(frames, rngs)]
-        assert got == want
+        firsts = np.cumsum([0, *frames])
+        rows = [
+            (a + first, b + first) for spec, first in zip(want, firsts) for a, b in spec.intervals
+        ]
+        assert got.dtype.kind == "i" and got.shape == (len(rows), 2)
+        assert got.tolist() == [list(row) for row in rows]
         single = sample_mask(frames[0], start_prob, span_length, np.random.default_rng([seed, 0]))
         assert single == want[0]
 

@@ -283,9 +283,9 @@ class TestSegmentCtcTerms:
         # those of a pack holding it alone, so plain CTC on the utterance's
         # lattice against its deduplicated ids, over max(1, U), is exact.
         log_probs, ids, lengths = case
-        specs = [MaskSpec(((0, n),), n) for n in lengths]
-        losses, tokens, grad = segment_ctc_terms(log_probs, ids, specs, with_grad=True)
         ends = np.cumsum(lengths)
+        regions = np.column_stack((ends - lengths, ends))
+        losses, tokens, grad = segment_ctc_terms(log_probs, ids, lengths, regions, with_grad=True)
         for loss, n, end, frames in zip(losses, tokens, ends, lengths):
             rows = slice(end - frames, end)
             target = dedup(ids[rows])

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segctc import LengthMismatchError, MaskSpec, dedup, merge_spans, segment_targets
-from segctc.masking import pack_regions
 from segctc.targets import packed_targets
+
+
+def pack_rows(specs):
+    """The intervals of `specs`, utterances laid end to end, as the (R, 2)
+    int array of pack rows that packed_targets takes."""
+    rows, first = [], 0
+    for spec in specs:
+        rows += [(start + first, end + first) for start, end in spec.intervals]
+        first += spec.total_frames
+    return np.array(rows, dtype=int).reshape(-1, 2)
 
 
 def reference_dedup(ids):
@@ -77,7 +86,7 @@ class TestPackedTargets:
         # One deduplication over the pack gives every region's target of the
         # per-utterance, per-region loop, in region order.
         ids, specs = pack
-        labels, counts = packed_targets(np.concatenate(ids), pack_regions(specs))
+        labels, counts = packed_targets(np.concatenate(ids), pack_rows(specs))
         want = [
             reference_dedup(utt_ids[start:end])
             for utt_ids, spec in zip(ids, specs)
@@ -92,7 +101,7 @@ class TestPackedTargets:
         # Equal ids across adjacent pack rows of two regions, within one
         # utterance's gap and across two utterances, and a one-frame region.
         specs = [MaskSpec(((0, 2), (3, 4)), 4), MaskSpec(((0, 3),), 3)]
-        labels, counts = packed_targets(np.array([5, 5, 5, 5, 5, 6, 6]), pack_regions(specs))
+        labels, counts = packed_targets(np.array([5, 5, 5, 5, 5, 6, 6]), pack_rows(specs))
         assert labels.tolist() == [5, 5, 5, 6]
         assert counts.tolist() == [1, 1, 2]
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segctc.masking
 import segctc.model
+import segctc.objectives
 import segctc.trainer
 from segctc import (
     AdamHyper,
@@ -314,6 +317,38 @@ class TestTrain:
         with pytest.raises(DimensionMismatchError):
             train(corpus, tiny_train_config(steps=1, batch_size=2), tiny_model())
 
+    @pytest.mark.parametrize("mask_p", [0.0, 0.3, 1.0])
+    def test_step_builds_no_spec_and_copies_no_utterance(self, monkeypatch, mask_p):
+        # A step's masked regions keep one form, the array of pack rows, from
+        # the draw to the mask embedding's gradient: with MaskSpec and
+        # apply_mask refusing to run, training gives the same bits.
+        corpus = gen_corpus(TINY_CORPUS_CFG)
+        cfg = tiny_train_config(steps=3, mask_p=mask_p)
+        want_model, want = train(corpus, cfg, tiny_model())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a training step built a MaskSpec or a masked copy")
+
+        monkeypatch.setattr(segctc.masking.MaskSpec, "__post_init__", refuse)
+        for module in (segctc, segctc.masking, segctc.model, segctc.objectives, segctc.trainer):
+            if hasattr(module, "apply_mask"):
+                monkeypatch.setattr(module, "apply_mask", refuse)
+        with pytest.raises(AssertionError):
+            segctc.MaskSpec((), 1)
+        got_model, got = train(corpus, cfg, tiny_model())
+        assert got == want
+        for (name, a), (_, b) in zip(named_params(got_model), named_params(want_model)):
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    def test_array_path_has_no_optional_forms(self):
+        # pack_backward reads the masked rows from the forward's cache, and
+        # the loss path takes the regions array, never None.
+        assert "masked_rows" not in inspect.signature(segctc.model.pack_backward).parameters
+        for fn in (segctc.objectives.segment_ctc_terms, segctc.objectives.joint_loss_pack):
+            params = inspect.signature(fn).parameters
+            assert params["regions"].default is inspect.Parameter.empty
+            assert all(p.default is not None for p in params.values())
+
     def test_grad_clip_changes_trajectory(self):
         corpus = gen_corpus(TINY_CORPUS_CFG)
         _, m1 = train(corpus, tiny_train_config(steps=3), tiny_model(seed=7))
@@ -600,8 +635,8 @@ class TestFinetune:
             head = init_finetune_head(None, vocab=corpus.vocab, model_dim=6, rng=seeded_rng(14))
             return Model(encoder=copy.deepcopy(pre.encoder), head=head)
 
-        def full_backward(model, cache, dlogits, masked_rows, with_encoder=True):
-            return real_pack_backward(model, cache, dlogits, masked_rows)
+        def full_backward(model, cache, dlogits, with_encoder=True):
+            return real_pack_backward(model, cache, dlogits)
 
         real_pack_backward = segctc.trainer.pack_backward
         monkeypatch.setattr(segctc.trainer, "pack_backward", full_backward)
