@@ -59,7 +59,6 @@ from .objectives import (
     TrainingMode,
     effective_alpha,
     joint_loss,
-    joint_loss_batch,
     masked_ce_loss,
     masked_ctc_loss,
 )

@@ -28,22 +28,17 @@ class PosteriorReport:
     relative_degradation: float
 
 
-def _avg_posteriors(model: Model, features, ref_sets) -> list[float]:
-    """Frame-weighted mean reference-id probability for each reference set.
+def _reference_ids(features, ref_sets, vocab: int) -> list[np.ndarray]:
+    """Each reference set's ids joined in utterance order, checked once.
 
     `ref_sets` holds one list of per-utterance id arrays per set, each aligned
     with `features`: one id per frame, or DimensionMismatchError names the
-    utterance before any forward runs. The utterances run through the model
-    once, in consecutive packs of PACK_SIZE, each one pack_logits (no backward
-    record) and one log_softmax, and every set is scored against the same
-    log-probabilities, so one forward serves all sets; only one pack's
-    log-probabilities are held at a time. Each set's references are gathered
-    once per pack; each utterance's probabilities are summed over its own
-    rows, and the sums added in utterance order.
+    utterance. Every id must be a label, in [0, vocab), of each model that
+    will score the sets, so an id V (blank) or -1 is never gathered. No
+    utterances at all is an EmptyDatasetError.
     """
     if not features:
         raise EmptyDatasetError("no utterances to evaluate")
-    vocab = model.head.vocab
     joined = []
     for refs in ref_sets:
         for i, (x, ref) in enumerate(zip(features, refs)):
@@ -55,10 +50,25 @@ def _avg_posteriors(model: Model, features, ref_sets) -> list[float]:
         if ids.min() < 0 or ids.max() >= vocab:
             raise DimensionMismatchError(
                 f"reference ids span [{ids.min()}, {ids.max()}], outside the "
-                f"model's label range [0, {vocab})"
+                f"label range [0, {vocab}) of every model"
             )
         joined.append(ids)
-    totals = [0.0] * len(ref_sets)
+    return joined
+
+
+def _avg_posteriors(model: Model, features, joined) -> list[float]:
+    """Frame-weighted mean reference-id probability for each reference set.
+
+    `joined` holds each set's ids as `_reference_ids` checks and joins them.
+    The utterances run through the model once, in consecutive packs of
+    PACK_SIZE, each one pack_logits (no backward record) and one
+    log_softmax, and every set is scored against the same log-probabilities,
+    so one forward serves all sets; only one pack's log-probabilities are
+    held at a time. Each set's references are gathered once per pack; each
+    utterance's probabilities are summed over its own rows, and the sums
+    added in utterance order.
+    """
+    totals = [0.0] * len(joined)
     first = 0  # the pack's first row in `joined`
     for start in range(0, len(features), PACK_SIZE):
         logits, slices = pack_logits(model, features[start : start + PACK_SIZE])
@@ -79,11 +89,12 @@ def avg_posterior(model: Model, utterances) -> float:
     in the softmax normalization. To score against the ground-truth ids, pass
     `clean_references(corpus).utterances`. A reference id outside [0, V) of
     the model, or an utterance whose references do not number its frames,
-    raises DimensionMismatchError.
+    raises DimensionMismatchError before any forward runs.
     """
     utterances = list(utterances)
     features = [utt.features for utt in utterances]
-    return _avg_posteriors(model, features, [[utt.noisy_ids for utt in utterances]])[0]
+    joined = _reference_ids(features, [[utt.noisy_ids for utt in utterances]], model.head.vocab)
+    return _avg_posteriors(model, features, joined)[0]
 
 
 def degradation_report(clean_prob: float, degraded_prob: float) -> PosteriorReport:
@@ -104,11 +115,13 @@ def compare_models(
     DimensionMismatchError names the counts or the first utterance that
     differs, before any forward runs. Both sets are scored against their noisy
     ids, and each model runs once per utterance, that one forward serving both
-    reference sets. A reference id outside [0, V) of either model, or an
+    reference sets. One pass checks both sets against both models before
+    any forward: a reference id outside [0, V) of either model, or an
     utterance whose references do not number its frames, raises
-    DimensionMismatchError; a model whose clean probability is zero or not a
-    number raises ZeroProbabilityError. The verdict is True when the
-    CTC-trained model degrades strictly less.
+    DimensionMismatchError. A model whose features are not as wide as the
+    corpus's raises it at its first forward. A model whose clean probability
+    is zero or not a number raises ZeroProbabilityError. The verdict is True
+    when the CTC-trained model degrades strictly less.
     """
     clean = list(clean_utterances)
     jittered = list(jittered_utterances)
@@ -119,9 +132,10 @@ def compare_models(
             raise DimensionMismatchError(f"utterance {i}: clean and jittered features differ")
     features = [utt.features for utt in clean]
     ref_sets = [[utt.noisy_ids for utt in clean], [utt.noisy_ids for utt in jittered]]
+    joined = _reference_ids(features, ref_sets, min(ce_model.head.vocab, ctc_model.head.vocab))
     reports = []
     for name, model in (("ce", ce_model), ("ctc", ctc_model)):
-        clean_prob, degraded_prob = _avg_posteriors(model, features, ref_sets)
+        clean_prob, degraded_prob = _avg_posteriors(model, features, joined)
         if not clean_prob > 0.0:  # NaN too: a NaN row is NaN under both reference sets
             raise ZeroProbabilityError(f"the {name} model's clean probability is {clean_prob}")
         reports.append(degradation_report(clean_prob, degraded_prob))
@@ -131,28 +145,23 @@ def compare_models(
 
 
 def format_report(ce_report, ctc_report, verdict) -> str:
-    """Human-readable key: value report."""
-    lines = [
-        "# posterior averages are frame-weighted over all evaluation frames",
-        f"ce_clean_prob: {ce_report.clean_prob:.6f}",
-        f"ce_degraded_prob: {ce_report.degraded_prob:.6f}",
-        f"ce_relative_degradation: {ce_report.relative_degradation:.6f}",
-        f"ctc_clean_prob: {ctc_report.clean_prob:.6f}",
-        f"ctc_degraded_prob: {ctc_report.degraded_prob:.6f}",
-        f"ctc_relative_degradation: {ctc_report.relative_degradation:.6f}",
-        f"ctc_degrades_less: {str(verdict).lower()}",
-    ]
+    """Human-readable key: value report: each model's figures, then the verdict."""
+    lines = ["# posterior averages are frame-weighted over all evaluation frames"]
+    for name, report in (("ce", ce_report), ("ctc", ctc_report)):
+        lines += [
+            f"{name}_clean_prob: {report.clean_prob:.6f}",
+            f"{name}_degraded_prob: {report.degraded_prob:.6f}",
+            f"{name}_relative_degradation: {report.relative_degradation:.6f}",
+        ]
+    lines.append(f"ctc_degrades_less: {str(verdict).lower()}")
     return "\n".join(lines) + "\n"
 
 
 def report_tsv(ce_report, ctc_report, verdict) -> str:
-    """Machine-readable summary: one row per model."""
-    lines = [
-        "model\tclean_prob\tdegraded_prob\trelative_degradation",
-        f"ce\t{ce_report.clean_prob:.10g}\t{ce_report.degraded_prob:.10g}"
-        f"\t{ce_report.relative_degradation:.10g}",
-        f"ctc\t{ctc_report.clean_prob:.10g}\t{ctc_report.degraded_prob:.10g}"
-        f"\t{ctc_report.relative_degradation:.10g}",
-        f"verdict\t{str(verdict).lower()}\t\t",
-    ]
+    """Machine-readable summary: one row per model, then the verdict."""
+    lines = ["model\tclean_prob\tdegraded_prob\trelative_degradation"]
+    for name, report in (("ce", ce_report), ("ctc", ctc_report)):
+        figures = (report.clean_prob, report.degraded_prob, report.relative_degradation)
+        lines.append("\t".join([name, *(f"{value:.10g}" for value in figures)]))
+    lines.append(f"verdict\t{str(verdict).lower()}\t\t")
     return "\n".join(lines) + "\n"

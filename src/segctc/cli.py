@@ -8,6 +8,13 @@ checks that the output directory exists before any input is read, and echoes
 the effective configuration into it once the command has succeeded. Exit code
 is 0 on success, otherwise nonzero with one categorized error line on stderr;
 a command that fails writes nothing.
+
+Each input is checked in one place. A config key parses as the type of its
+default and ExperimentConfig checks its value. `analyze` leaves its inputs
+to the library: compare_models checks that the evaluation sets pair and
+that every reference id is a label of both heads, and a checkpoint whose
+feature width is not the corpus's is refused at its first forward.
+`finetune` checks that width itself, since with steps=0 no forward runs.
 """
 
 from __future__ import annotations
@@ -139,15 +146,8 @@ class ExperimentConfig:
         return TrainConfig(**values, mode=mode)
 
 
-def _parse_bool(raw: str) -> int:
-    if raw in ("0", "1"):
-        return int(raw)
-    raise ValueError(f"expected 0 or 1, got {raw!r}")
-
-
-# Parser per key: the type of its default, except for the 0/1 flag `attention`.
+# Parser per key: the type of its default. ExperimentConfig checks the value.
 SCHEMA = {field.name: type(field.default) for field in dataclasses.fields(ExperimentConfig)}
-SCHEMA["attention"] = _parse_bool
 
 
 def parse_config_file(path) -> dict:
@@ -186,10 +186,13 @@ def parse_config_file(path) -> dict:
 def build_config(config_path, overrides: dict) -> ExperimentConfig:
     """File values first, then flag overrides (flags win).
 
-    A config whose corpora or encoder blocks alone would need more bytes than
-    this machine's physical memory is refused here, before any work: no single
-    array is too large, so nothing else fails until the OOM killer ends the
-    run. The bound is the host's, so ExperimentConfig does not check it.
+    A config is refused here, before any work, when one group of the arrays
+    it sizes would alone need more bytes than this machine's physical
+    memory: the corpora, the encoder blocks, the input projection, one
+    utterance's position table, the head, or the class means. No single
+    array need be beyond numpy's largest, so nothing else fails until the OOM
+    killer ends the run. The bound is the host's, so ExperimentConfig does
+    not check it.
     """
     values = parse_config_file(config_path) if config_path else {}
     for key, value in overrides.items():
@@ -201,12 +204,18 @@ def build_config(config_path, overrides: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**values)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     # Lower bounds in 8-byte words: float64 features plus two int64 ids per
-    # frame; d_model^2 float64 weights per block, four such with attention.
+    # frame; d_model^2 float64 weights per block, four such with attention;
+    # the input projection; one position table; the head's projection and
+    # embeddings; the class means.
     frames = (cfg.utterances + cfg.eval_utterances) * cfg.frames
     matrices = cfg.layers * (4 if cfg.attention else 1)
     for names, words in (
         ("utterances, eval_utterances, frames, feature_dim", frames * (cfg.feature_dim + 2)),
         ("layers, d_model, attention", matrices * cfg.d_model**2),
+        ("d_model, feature_dim, n_pos", cfg.d_model * (cfg.feature_dim + cfg.n_pos)),
+        ("frames, n_pos", cfg.frames * cfg.n_pos),
+        ("d_embed, d_model, vocab", cfg.d_embed * (cfg.d_model + cfg.vocab + 1)),
+        ("vocab, feature_dim", cfg.vocab * cfg.feature_dim),
     ):
         if 8 * words > memory:
             raise ConfigError(f"{names} need at least {8 * words} bytes; this machine has {memory}")
@@ -294,19 +303,6 @@ def cmd_analyze(ce_checkpoint, ctc_checkpoint, clean_path, jittered_path, out_di
     ctc_model = load_checkpoint(ctc_checkpoint)
     clean = load_corpus(clean_path)
     jittered = load_corpus(jittered_path)
-    # Every corpus is checked against every checkpoint before any forward runs.
-    for name, corpus in (("clean", clean), ("jittered", jittered)):
-        for kind, model in (("ce", ce_model), ("ctc", ctc_model)):
-            if corpus.feature_dim != model.encoder.feature_dim:
-                raise DimensionMismatchError(
-                    f"{name} corpus feature dim {corpus.feature_dim} does not match "
-                    f"{kind} checkpoint {model.encoder.feature_dim}"
-                )
-            if corpus.vocab > model.head.vocab:
-                raise DimensionMismatchError(
-                    f"{name} corpus vocab {corpus.vocab} exceeds {kind} checkpoint "
-                    f"head vocab {model.head.vocab}"
-                )
     ce_report, ctc_report, verdict = compare_models(
         ce_model, ctc_model, clean.utterances, jittered.utterances
     )
@@ -382,9 +378,9 @@ _ERROR_CATEGORIES = [
     (ConfigError, "config", 2),
     (VersionMismatchError, "format", 4),
     ((NonFiniteLossError, ZeroProbabilityError), "numeric", 5),
-    ((DimensionMismatchError, ShapeMismatchError, LengthMismatchError), "data", 6),
-    (EmptyDatasetError, "data", 6),
-    ((FileNotFoundError, IsADirectoryError, PermissionError, OSError), "io", 3),
+    ((DimensionMismatchError, ShapeMismatchError, LengthMismatchError, EmptyDatasetError),
+     "data", 6),
+    (OSError, "io", 3),
     # sizes that pass validation but ask for more memory than there is
     (MemoryError, "config", 2),
 ]

@@ -15,15 +15,16 @@ and all regions share one CTC call on the flat targets. A region belongs to
 the utterance whose rows hold its start (np.searchsorted); each utterance's
 region losses and counts add left to right (np.bincount, in region order)
 and its normalizer divides its own rows. The single-utterance entry points
-take a MaskSpec and convert it to that array. Gradients are with respect
-to the pre-softmax logits, laid out like the pack, and exactly zero on
-unmasked rows.
+take a MaskSpec and convert it to that array. `joint_loss_pack` and the
+single-utterance entry points each check their pack once (`_check_pack`:
+shapes, lengths and ids in [0, V)); the CE and segment-CTC terms check
+nothing. Gradients are with respect to the pre-softmax logits, laid out
+like the pack, and exactly zero on unmasked rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -82,14 +83,10 @@ def _check_pack(log_probs, ids, lengths):
     return log_probs, ids
 
 
-def _spec_pack(log_probs, ids, specs):
-    """The checked pack of utterances laid end to end, each with its
-    MaskSpec in `specs`, in the loss's form: (log_probs, ids, lengths,
-    regions), their intervals as one (R, 2) int array of pack rows."""
-    lengths = [spec.total_frames for spec in specs]
-    firsts = accumulate(lengths, initial=0)
-    rows = [x + first for spec, first in zip(specs, firsts) for iv in spec.intervals for x in iv]
-    return *_check_pack(log_probs, ids, lengths), lengths, np.array(rows, dtype=int).reshape(-1, 2)
+def _spec_pack(spec: MaskSpec):
+    """One utterance's MaskSpec in the loss's form, unchecked: (lengths,
+    regions), its intervals as one (R, 2) int array of pack rows."""
+    return [spec.total_frames], np.array(spec.intervals, dtype=int).reshape(-1, 2)
 
 
 def _per_utterance(lengths, regions, weights) -> np.ndarray:
@@ -149,7 +146,9 @@ def masked_ce_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     Uses the full (V+1)-way softmax including blank, which is never a target.
     Returns (0, zero gradient) when nothing is masked.
     """
-    (loss,), _, grad = _masked_ce_terms(*_spec_pack(log_probs, ids, [spec]), True)
+    lengths, regions = _spec_pack(spec)
+    log_probs, ids = _check_pack(log_probs, ids, lengths)
+    (loss,), _, grad = _masked_ce_terms(log_probs, ids, lengths, regions, True)
     return loss, grad
 
 
@@ -160,7 +159,9 @@ def masked_ctc_loss(log_probs, ids, spec: MaskSpec) -> tuple[float, np.ndarray]:
     region losses are summed and divided by the total number of target tokens.
     Returns (0, zero gradient) when there are no masked regions.
     """
-    (loss,), _, grad = segment_ctc_terms(*_spec_pack(log_probs, ids, [spec]), with_grad=True)
+    lengths, regions = _spec_pack(spec)
+    log_probs, ids = _check_pack(log_probs, ids, lengths)
+    (loss,), _, grad = segment_ctc_terms(log_probs, ids, lengths, regions, with_grad=True)
     return loss, grad
 
 
@@ -191,14 +192,7 @@ def joint_loss_pack(log_probs, ids, lengths, regions, alpha: float):
     ], grad
 
 
-def joint_loss_batch(log_probs, ids, specs, alpha: float) -> tuple[list[LossBreakdown], np.ndarray]:
-    """joint_loss of every utterance of a pack, in order, and the pack
-    gradient of their sum: joint_loss_pack with utterance i's regions given
-    by its MaskSpec specs[i], whose total_frames is T_i."""
-    return joint_loss_pack(*_spec_pack(log_probs, ids, specs), alpha)
-
-
 def joint_loss(log_probs, ids, spec: MaskSpec, alpha: float) -> tuple[LossBreakdown, np.ndarray]:
     """combined = alpha * ctc + (1 - alpha) * ce, with the matching gradient mix."""
-    (breakdown,), grad = joint_loss_batch(log_probs, ids, [spec], alpha)
+    (breakdown,), grad = joint_loss_pack(log_probs, ids, *_spec_pack(spec), alpha)
     return breakdown, grad

@@ -24,7 +24,7 @@ from segctc import (
     model_forward,
     seeded_rng,
 )
-from segctc.analysis import format_report, report_tsv
+from segctc.analysis import PosteriorReport, format_report, report_tsv
 from segctc.model import pack_forward
 
 CFG = CorpusConfig(
@@ -32,12 +32,12 @@ CFG = CorpusConfig(
 )
 
 
-def make_model(seed=0, zero=False):
+def make_model(seed=0, zero=False, vocab=5):
     model = init_model(
         feature_dim=4,
         model_dim=6,
         embed_dim=5,
-        vocab=5,
+        vocab=vocab,
         n_blocks=1,
         rng=seeded_rng(seed, 2),
         n_pos=4,
@@ -112,6 +112,22 @@ class TestAvgPosterior:
             avg_posterior(make_model(), utts)
         with pytest.raises(DimensionMismatchError, match="utterance 2 "):
             compare_models(make_model(), make_model(seed=1), clean.utterances, utts)
+
+    def test_reference_outside_the_smaller_head_rejected_before_any_forward(self, monkeypatch):
+        # Every reference id must be a label of both heads: an id the ce head
+        # (5 labels) scores but the ctc head (3 labels) does not is refused
+        # before either model runs.
+        clean, jittered = eval_split(CFG, 4)
+        assert max(utt.noisy_ids.max() for utt in clean.utterances) >= 3
+
+        def no_forward(model, features):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(segctc.analysis, "pack_logits", no_forward)
+        with pytest.raises(DimensionMismatchError, match=r"label range \[0, 3\)"):
+            compare_models(
+                make_model(), make_model(seed=1, vocab=3), clean.utterances, jittered.utterances
+            )
 
 
 class TestDegradationReport:
@@ -196,6 +212,27 @@ class TestCompareModels:
         assert ce_row.startswith("ce\t")
         assert ctc_row.startswith("ctc\t")
         assert verdict_row.startswith("verdict\t")
+
+
+def test_report_bytes():
+    ce = PosteriorReport(0.2431234567891, 0.2415798765432, 0.006348956477856345)
+    ctc = PosteriorReport(0.0234567891234, 0.02341, 0.001994694293147081)
+    assert format_report(ce, ctc, True) == (
+        "# posterior averages are frame-weighted over all evaluation frames\n"
+        "ce_clean_prob: 0.243123\n"
+        "ce_degraded_prob: 0.241580\n"
+        "ce_relative_degradation: 0.006349\n"
+        "ctc_clean_prob: 0.023457\n"
+        "ctc_degraded_prob: 0.023410\n"
+        "ctc_relative_degradation: 0.001995\n"
+        "ctc_degrades_less: true\n"
+    )
+    assert report_tsv(ce, ctc, False) == (
+        "model\tclean_prob\tdegraded_prob\trelative_degradation\n"
+        "ce\t0.2431234568\t0.2415798765\t0.006348956478\n"
+        "ctc\t0.02345678912\t0.02341\t0.001994694293\n"
+        "verdict\tfalse\t\t\n"
+    )
 
 
 def four_passes(ce_model, ctc_model, clean, jittered, posterior=avg_posterior):

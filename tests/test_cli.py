@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import segctc.cli
 import segctc.trainer
-from segctc import ConfigError, load_checkpoint, read_blank_params, save_checkpoint
+from segctc import (
+    ConfigError,
+    load_checkpoint,
+    load_corpus,
+    read_blank_params,
+    save_checkpoint,
+    save_corpus,
+)
 from segctc.cli import SCHEMA, ExperimentConfig, build_config, main, parse_config_file
 
 FAST = [
@@ -144,6 +151,29 @@ class TestConfigText:
         with pytest.raises(ConfigError, match="utterances"):
             build_config(path, {})
 
+    @pytest.mark.parametrize(
+        "sizes, names",
+        [
+            ({"frames": 10, "n_pos": 2**25}, "d_model, feature_dim, n_pos"),
+            ({"n_pos": 2**24}, "frames, n_pos"),
+            ({"d_embed": 2**27}, "d_embed, d_model, vocab"),
+            ({"vocab": 2**26}, "d_embed, d_model, vocab"),
+            ({"feature_dim": 2**10, "vocab": 2**24}, "vocab, feature_dim"),
+        ],
+        ids=["input-projection", "position-table", "head-width", "head-vocab", "class-means"],
+    )
+    def test_arrays_beyond_memory_rejected(self, monkeypatch, sizes, names):
+        # On a machine of 8 GiB (2^30 float64s) each config sizes one group
+        # of arrays beyond it, and only that one: the input projection, one
+        # position table, the head, or the class means. Validation only;
+        # nothing is built.
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        monkeypatch.setattr(segctc.cli.os, "sysconf", pages.__getitem__)
+        build_config(None, {})
+        message = rf"^{names} need at least \d+ bytes; this machine has {2**33}$"
+        with pytest.raises(ConfigError, match=message):
+            build_config(None, sizes)
+
     @pytest.mark.parametrize("key", ["lr_peak", "adam_eps", "weight_decay", "grad_clip", "sigma"])
     def test_infinite_floats_rejected(self, key):
         with pytest.raises(ConfigError, match=key):
@@ -228,6 +258,7 @@ INVALID_SETTINGS = [
     "weight_decay=inf",
     "grad_clip=inf",
     "sigma=inf",
+    "attention=2",
     "sigma=1e39",  # finite, but its features overflow the corpus file's float32
     "d_model=4294967295",  # a u32, but its weights are beyond numpy's largest array
     # u32s that size no single array, but whose encoder blocks or corpora alone
@@ -235,6 +266,8 @@ INVALID_SETTINGS = [
     "layers=4294967295",
     "utterances=4294967295",
     "eval_utterances=4294967295",
+    # an even u32 whose input projection and position table need terabytes
+    "n_pos=4294967294",
 ]
 
 
@@ -646,6 +679,75 @@ class TestAnalyze:
         assert code == 6
         assert capsys.readouterr().err.startswith("error[data]")
         assert list(out.iterdir()) == []
+
+    def test_checkpoint_of_another_feature_width_is_data_error(
+        self, tmp_path, generated, pretrained, capsys
+    ):
+        # The evaluation sets pair and their ids are labels of both heads, so
+        # the ctc checkpoint's width is refused at its first forward.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("\n".join([s for s in FAST if s != "feature_dim=4"] + ["feature_dim=5"]))
+        wide = tmp_path / "wide"
+        wide.mkdir()
+        assert main(["gen-data", "--config", str(cfg), "--out", str(wide)]) == 0
+        corpus = ["--corpus", str(wide / "train.corpus")]
+        steps = ["--steps", "2"]
+        assert main(["pretrain", "--config", str(cfg), *steps, *corpus, "--out", str(wide)]) == 0
+        out = tmp_path / "report"
+        out.mkdir()
+        code = main(
+            [
+                "analyze",
+                "--ce-checkpoint",
+                str(pretrained),
+                "--ctc-checkpoint",
+                str(wide / "checkpoint.bin"),
+                "--eval-clean",
+                str(generated / "eval_clean.corpus"),
+                "--eval-jittered",
+                str(generated / "eval_jittered.corpus"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    def test_wider_header_vocab_with_labels_of_the_heads_is_scored(
+        self, tmp_path, generated, pretrained, capsys
+    ):
+        # A corpus header may declare more classes than a head has; only the
+        # ids themselves must be labels of both heads.
+        reports = []
+        for vocab in (None, 30):
+            corpora = [generated / f"eval_{name}.corpus" for name in ("clean", "jittered")]
+            if vocab is not None:
+                for i, path in enumerate(corpora):
+                    corpora[i] = tmp_path / path.name
+                    save_corpus(dataclasses.replace(load_corpus(path), vocab=vocab), corpora[i])
+            out = tmp_path / f"report-{vocab}"
+            out.mkdir()
+            code = main(
+                [
+                    "analyze",
+                    "--ce-checkpoint",
+                    str(pretrained),
+                    "--ctc-checkpoint",
+                    str(pretrained),
+                    "--eval-clean",
+                    str(corpora[0]),
+                    "--eval-jittered",
+                    str(corpora[1]),
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == 0
+            reports.append([(out / name).read_bytes() for name in ("report.txt", "report.tsv")])
+        assert load_corpus(corpora[0]).vocab == 30
+        assert reports[0] == reports[1]
 
     def test_model_without_mass_on_clean_frames_is_numeric_error(
         self, tmp_path, fast_config, generated, pretrained, capsys

@@ -14,13 +14,12 @@ from segctc import (
     dedup,
     effective_alpha,
     joint_loss,
-    joint_loss_batch,
     log_softmax,
     masked_ce_loss,
     masked_ctc_loss,
     merge_spans,
 )
-from segctc.objectives import segment_ctc_terms
+from segctc.objectives import joint_loss_pack, segment_ctc_terms
 
 
 def random_instance(rng, frames=8, vocab=4):
@@ -195,11 +194,35 @@ class TestJointLoss:
         assert check_gradient(f, logits.ravel()) < 1e-4
 
 
+@pytest.mark.parametrize("loss", [masked_ce_loss, masked_ctc_loss, joint_loss])
+def test_each_entry_point_checks_its_pack_once(loss, monkeypatch):
+    calls = []
+    real = segctc.objectives._check_pack
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(segctc.objectives, "_check_pack", counting)
+    log_probs, ids, spec = random_instance(np.random.default_rng(20))
+    loss(log_probs, ids, spec, *([0.5] if loss is joint_loss else []))
+    assert len(calls) == 1
+
+
 def pack(items):
-    """The (log_probs, ids, spec) items laid end to end: (log_probs, ids, specs)."""
+    """The (log_probs, ids, spec) items laid end to end, in joint_loss_pack's
+    form: (log_probs, ids, lengths, regions), each spec's intervals shifted
+    to its utterance's pack rows."""
     log_probs = np.concatenate([log_probs for log_probs, _, _ in items])
     ids = np.concatenate([ids for _, ids, _ in items])
-    return log_probs, ids, [spec for _, _, spec in items]
+    lengths = [spec.total_frames for _, _, spec in items]
+    firsts = np.cumsum([0, *lengths[:-1]])
+    rows = [
+        (start + first, end + first)
+        for (_, _, spec), first in zip(items, firsts)
+        for start, end in spec.intervals
+    ]
+    return log_probs, ids, lengths, np.array(rows, dtype=int).reshape(-1, 2)
 
 
 def utterance_rows(items):
@@ -208,6 +231,8 @@ def utterance_rows(items):
 
 
 class TestJointLossBatch:
+    """joint_loss_pack on a batch of utterances equals joint_loss on each."""
+
     def _batch(self, rng):
         items = []
         for frames in (8, 12, 9):
@@ -219,7 +244,7 @@ class TestJointLossBatch:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 1.0])
     def test_equals_one_call_per_item(self, alpha):
         items = self._batch(np.random.default_rng(15))
-        breakdowns, grad = joint_loss_batch(*pack(items), alpha)
+        breakdowns, grad = joint_loss_pack(*pack(items), alpha)
         assert len(breakdowns) == len(items)
         assert grad.shape == (sum(len(ids) for _, ids, _ in items), items[0][0].shape[1])
         for breakdown, rows, item in zip(breakdowns, utterance_rows(items), items):
@@ -228,7 +253,8 @@ class TestJointLossBatch:
             np.testing.assert_array_equal(grad[rows], alone_grad)
 
     def test_empty_batch(self):
-        breakdowns, grad = joint_loss_batch(np.zeros((0, 5)), np.zeros(0, dtype=int), [], 0.5)
+        empty = (np.zeros((0, 5)), np.zeros(0, dtype=int), [], np.zeros((0, 2), dtype=int))
+        breakdowns, grad = joint_loss_pack(*empty, 0.5)
         assert breakdowns == []
         assert grad.shape == (0, 5)
 
@@ -242,7 +268,7 @@ class TestJointLossBatch:
             return real(emissions, regions, targets, with_grad)
 
         monkeypatch.setattr(segctc.objectives, "ctc_loss_packed", forward_only)
-        breakdowns, grad = joint_loss_batch(*pack(items), 0.0)
+        breakdowns, grad = joint_loss_pack(*pack(items), 0.0)
         assert [breakdown.ctc for breakdown in breakdowns] == expected
         for breakdown, rows, item in zip(breakdowns, utterance_rows(items), items):
             ce, ce_grad = masked_ce_loss(*item)
@@ -254,7 +280,7 @@ class TestJointLossBatch:
         items = self._batch(np.random.default_rng(18))
         log_probs, ids, _ = random_instance(np.random.default_rng(19))
         items.append((log_probs, ids, MaskSpec((), ids.size)))  # nothing masked
-        breakdowns, _ = joint_loss_batch(*pack(items), alpha)
+        breakdowns, _ = joint_loss_pack(*pack(items), alpha)
         for breakdown in breakdowns:
             for name in ("ce", "ctc", "combined"):
                 assert type(getattr(breakdown, name)) is float
