@@ -122,15 +122,6 @@ class ExperimentConfig:
             raise ConfigError(f"nonlin must be one of {sorted(NONLIN_CODES)}, got {self.nonlin!r}")
         if self.n_pos % 2:
             raise ConfigError(f"n_pos must be even, got {self.n_pos}")
-        # numpy refuses a float64 array of 2^60 elements (2^63 bytes) or more
-        # before it allocates anything: here a generated corpus's features or
-        # class means, or a weight of the encoder or the head.
-        for names, rows, width in (
-            ("frames, vocab, feature_dim", max(self.frames, self.vocab), self.feature_dim),
-            ("d_model, n_pos, d_embed", self.d_model, max(self.d_model, self.n_pos, self.d_embed)),
-        ):
-            if rows * width >= 2**60:
-                raise ConfigError(f"{names} size a {rows} x {width} array, beyond numpy's largest")
 
     def corpus_config(self) -> CorpusConfig:
         fields = dataclasses.fields(CorpusConfig)
@@ -189,10 +180,12 @@ def build_config(config_path, overrides: dict) -> ExperimentConfig:
     A config is refused here, before any work, when one group of the arrays
     it sizes would alone need more bytes than this machine's physical
     memory: the corpora, the encoder blocks, the input projection, one
-    utterance's position table, the head, or the class means. No single
-    array need be beyond numpy's largest, so nothing else fails until the OOM
-    killer ends the run. The bound is the host's, so ExperimentConfig does
-    not check it.
+    utterance's position table, the head, or the class means. Such a config
+    need size no array beyond numpy's largest, so without the bound nothing
+    would fail until the OOM killer ends the run; and an array beyond numpy's
+    largest (2^63 bytes) exceeds any machine's memory, so this bound is the
+    one size check. The bound is the host's, so ExperimentConfig does not
+    check it.
     """
     values = parse_config_file(config_path) if config_path else {}
     for key, value in overrides.items():

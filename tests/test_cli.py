@@ -17,7 +17,14 @@ from segctc import (
     save_checkpoint,
     save_corpus,
 )
-from segctc.cli import SCHEMA, ExperimentConfig, build_config, main, parse_config_file
+from segctc.cli import (
+    SCHEMA,
+    ExperimentConfig,
+    build_config,
+    config_text,
+    main,
+    parse_config_file,
+)
 
 FAST = [
     "utterances=6",
@@ -119,9 +126,9 @@ class TestConfigText:
 
     @pytest.mark.parametrize("key", ["d_model", "d_embed", "layers", "n_pos"])
     def test_model_sizes_fit_the_checkpoint_file(self, key):
-        # validation only; no model is built. A (d_model, d_model) weight of
-        # 2^60 elements or more is beyond numpy's largest array.
-        ExperimentConfig(**{key: 2**30 - 1 if key == "d_model" else 2**32 - 2})
+        # validation only; no model is built. Whether the arrays such a size
+        # shapes fit in memory is build_config's bound.
+        ExperimentConfig(**{key: 2**32 - 2})
         message = rf"^{key} must lie in \[\d, 2\^32\), got 4294967296$"
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**{key: 2**32})
@@ -130,20 +137,30 @@ class TestConfigText:
         "sizes",
         [
             {"d_model": 2**30},
-            {"d_model": 2**29, "n_pos": 2**31},
-            {"d_model": 2**29, "d_embed": 2**31},
+            {"layers": 0, "d_model": 2**29, "n_pos": 2**31},
+            {"layers": 0, "d_model": 2**29, "d_embed": 2**31},
             {"feature_dim": 2**29, "frames": 2**31},
             {"feature_dim": 2**29, "vocab": 2**31},
         ],
     )
-    def test_arrays_beyond_numpy_limit_rejected(self, sizes):
-        # Each value is within the file's u32 fields, but the pair sizes a
-        # 2^60-element array, one numpy refuses (ValueError) without trying
-        # to allocate it. The next smaller last value passes (validation only).
-        with pytest.raises(ConfigError, match="beyond numpy's largest$"):
-            ExperimentConfig(**sizes)
-        *others, (key, value) = sizes.items()
-        ExperimentConfig(**dict(others), **{key: value - (2 if key == "n_pos" else 1)})
+    def test_arrays_beyond_numpy_limit_rejected(self, monkeypatch, sizes):
+        # Each value is within the file's u32 fields, but the last one sizes
+        # a 2^60-element float64 array, beyond numpy's largest (2^63 bytes).
+        # build_config refuses it, naming the memory group that holds it, even
+        # on a machine of 2^63 - 4096 bytes (with layers=0 no d_model^2 block
+        # exists). Validation only; nothing is built.
+        group = {
+            "d_model": "layers, d_model, attention",
+            "n_pos": "d_model, feature_dim, n_pos",
+            "d_embed": "d_embed, d_model, vocab",
+            "frames": "utterances, eval_utterances, frames, feature_dim",
+            "vocab": "vocab, feature_dim",
+        }[list(sizes)[-1]]
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**51 - 1}
+        monkeypatch.setattr(segctc.cli.os, "sysconf", pages.__getitem__)
+        message = rf"^{group} need at least \d+ bytes; this machine has {2**63 - 4096}$"
+        with pytest.raises(ConfigError, match=message):
+            build_config(None, sizes)
 
     def test_huge_utterance_count_rejected_from_text(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -260,7 +277,7 @@ INVALID_SETTINGS = [
     "sigma=inf",
     "attention=2",
     "sigma=1e39",  # finite, but its features overflow the corpus file's float32
-    "d_model=4294967295",  # a u32, but its weights are beyond numpy's largest array
+    "d_model=4294967295",  # a u32, but its blocks alone need ~2^69 bytes
     # u32s that size no single array, but whose encoder blocks or corpora alone
     # need terabytes, more than the host's memory: refused before any allocation
     "layers=4294967295",
@@ -364,7 +381,7 @@ class TestGenData:
         for name in ("train.corpus", "eval_clean.corpus", "eval_jittered.corpus"):
             assert (out / name).exists()
         echoed = (out / "effective_config.txt").read_text()
-        assert "steps=4" in echoed
+        assert echoed == config_text(build_config(fast_config, {}))
 
     def test_rerun_same_seed_identical_checksums(self, tmp_path, fast_config):
         outs = []
@@ -423,24 +440,28 @@ def generated(tmp_path, fast_config):
 
 class TestPretrain:
     def test_writes_checkpoint_and_metrics(self, tmp_path, fast_config, generated):
-        out = tmp_path / "run"
-        out.mkdir()
-        code = main(
-            [
-                "pretrain",
-                "--config",
-                str(fast_config),
-                "--corpus",
-                str(generated / "train.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
-        model = load_checkpoint(out / "checkpoint.bin")
-        assert model.head.vocab == 5
-        lines = (out / "metrics.tsv").read_text().strip().split("\n")
-        assert len(lines) == 4
+        # The joint loss, its CE-only and CTC-only branches, and the two edge
+        # shapes of a step's masked regions: none at all, and one region
+        # covering each 30-frame utterance.
+        for flags in (
+            [],
+            ["--alpha", "0"],
+            ["--alpha", "1"],
+            ["--mask-p", "0"],
+            ["--mask-p", "1", "--mask-l", "30"],
+        ):
+            out = tmp_path / "_".join(["run", *flags])
+            out.mkdir()
+            corpus = ["--corpus", str(generated / "train.corpus")]
+            code = main(["pretrain", "--config", str(fast_config), *flags, *corpus, "--out", str(out)])
+            assert code == 0, flags
+            model = load_checkpoint(out / "checkpoint.bin")
+            assert model.head.vocab == 5
+            lines = (out / "metrics.tsv").read_text().strip().split("\n")
+            assert len(lines) == 4, flags
+            overrides = {flag[2:].replace("-", "_"): value for flag, value in zip(flags[::2], flags[1::2])}
+            echoed = (out / "effective_config.txt").read_text()
+            assert echoed == config_text(build_config(fast_config, overrides)), flags
 
     def test_bit_reproducible(self, tmp_path, fast_config, generated):
         hashes = []
@@ -562,7 +583,11 @@ class TestFinetune:
         blank_path = tmp_path / "blank.bin"
         main(["export-blank", "--checkpoint", str(pretrained), "--out", str(blank_path)])
         outputs = {}
-        for tag, extra in (("plain", []), ("blank", ["--load-blank", str(blank_path)])):
+        for tag, extra in (
+            ("plain", ["--steps", "0"]),
+            ("blank", ["--steps", "0", "--load-blank", str(blank_path)]),
+            ("trained", ["--steps", "2", "--load-blank", str(blank_path)]),
+        ):
             out = tmp_path / tag
             out.mkdir()
             code = main(
@@ -574,8 +599,6 @@ class TestFinetune:
                     str(pretrained),
                     "--corpus",
                     str(generated / "train.corpus"),
-                    "--steps",
-                    "0",
                     "--out",
                     str(out),
                 ]
@@ -583,6 +606,14 @@ class TestFinetune:
             )
             assert code == 0
             outputs[tag] = load_checkpoint(out / "checkpoint.bin")
+        # one CTC record per step: 5 columns, ce 0, ctc equal to combined, alpha 1
+        trained = tmp_path / "trained"
+        rows = [line.split("\t") for line in (trained / "metrics.tsv").read_text().splitlines()]
+        assert len(rows) == 2
+        for row in rows:
+            assert len(row) == 5 and float(row[1]) == 0.0 and row[2] == row[3] and float(row[4]) == 1.0
+        echoed = (trained / "effective_config.txt").read_text()
+        assert echoed == config_text(build_config(fast_config, {"steps": 2}))
         plain, loaded = outputs["plain"], outputs["blank"]
         # same seed: heads differ exactly in the blank row and bias
         np.testing.assert_array_equal(plain.head.weight[:-1], loaded.head.weight[:-1])
@@ -643,6 +674,7 @@ class TestAnalyze:
         assert "ctc_degrades_less: false" in stdout  # identical checkpoints
         assert (out / "report.txt").read_text() == stdout
         assert (out / "report.tsv").exists()
+        assert (out / "effective_config.txt").read_text() == config_text(build_config(None, {}))
 
     @pytest.mark.parametrize(
         "setting, which",

@@ -16,6 +16,8 @@ from segctc import brute_force_ctc, ctc_loss, ctc_loss_and_grad, log_softmax
 from segctc.ctc import _pack, ctc_loss_packed
 from segctc.numerics import NEG_INF
 
+from helpers import random_lattice
+
 RTOL = 1e-12
 
 
@@ -88,10 +90,6 @@ def reference_loss_and_grad(lattice, target):
     gamma = np.zeros_like(lattice)
     np.add.at(gamma.T, ext, state_post.T)
     return -total, np.exp(lattice) - gamma
-
-
-def random_lattice(rng, frames, vocab):
-    return log_softmax(rng.normal(size=(frames, vocab + 1)), axis=1)
 
 
 def end_to_end(lattices):
