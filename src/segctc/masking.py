@@ -111,9 +111,12 @@ def sample_masks(frames, start_prob: float, span_length: int, rngs) -> np.ndarra
     One merge serves them all: each utterance draws its starts from its own
     generator, and the utterances lie end to end with one free row after
     each, so that no span reaches into the next; a region's pack rows are
-    its merge rows less its owner's index. The arguments must be valid for
-    sample_mask, which checks them (TrainConfig checks a training run's)."""
+    its merge rows less its owner's index. A span is clamped to the longest
+    utterance, which truncates it anyway, so that no end overflows int64.
+    The arguments must be valid for sample_mask, which checks them
+    (TrainConfig checks a training run's)."""
     draws = [rng.choice(n, size=int(start_prob * n), replace=False) for n, rng in zip(frames, rngs)]
+    span_length = min(span_length, max(frames, default=0))
     firsts = np.cumsum([0, *(n + 1 for n in frames)])
     counts = [draw.size for draw in draws]
     starts = np.concatenate([np.zeros(0, dtype=int), *draws]) + np.repeat(firsts[:-1], counts)

@@ -42,7 +42,7 @@ from segctc import (
 )
 from segctc.cli import ExperimentConfig, finetuning_model, main, pretraining_model
 
-from helpers import random_dedup_target, random_lattice
+from helpers import TINY_CFG, cli_argv, data_inputs, random_dedup_target, random_lattice
 
 DEFAULTS = ExperimentConfig()
 
@@ -264,28 +264,12 @@ EXPERIMENT_SEEDS = (0, 1, 2, 3, 4)
 
 
 def experiment_corpus_config(seed):
-    return dataclasses.replace(
-        DEFAULTS.corpus_config(),
-        utterances=200,
-        frames=100,
-        vocab=20,
-        feature_dim=16,
-        sigma=0.5,
-        jitter_q=0.5,
-        jitter_k=2,
-        corrupt_r=0.05,
-        seed=seed,
-    )
+    return dataclasses.replace(DEFAULTS.corpus_config(), seed=seed)
 
 
 def experiment_train_config(alpha, seed, ce_warmup=0):
-    base = DEFAULTS.train_config()
-    return dataclasses.replace(
-        base,
-        steps=2000,
-        mode=TrainingMode(alpha=alpha, ce_warmup_steps=ce_warmup),
-        seed=seed,
-    )
+    mode = TrainingMode(alpha=alpha, ce_warmup_steps=ce_warmup)
+    return dataclasses.replace(DEFAULTS.train_config(), mode=mode, seed=seed)
 
 
 def experiment_model(seed, corpus):
@@ -406,62 +390,17 @@ def test_criterion_8_warmup_protocol(misalignment_runs):
 
 
 def test_criterion_9_command_determinism(tmp_path):
-    config = tmp_path / "tiny.cfg"
-    config.write_text(
-        "utterances=6\neval_utterances=3\nframes=30\nvocab=5\nfeature_dim=4\n"
-        "d_model=8\nd_embed=6\nlayers=1\nn_pos=4\nsteps=4\nbatch_size=3\n"
-        "lr_warmup=2\nmask_p=0.1\nmask_l=4\n"
-    )
     digests = []
     for tag in ("a", "b"):
         root = tmp_path / tag
         for sub in ("data", "pre", "ft"):
             (root / sub).mkdir(parents=True)
-        assert main(["gen-data", "--config", str(config), "--out", str(root / "data")]) == 0
-        assert (
-            main(
-                [
-                    "pretrain",
-                    "--config",
-                    str(config),
-                    "--corpus",
-                    str(root / "data" / "train.corpus"),
-                    "--out",
-                    str(root / "pre"),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "export-blank",
-                    "--checkpoint",
-                    str(root / "pre" / "checkpoint.bin"),
-                    "--out",
-                    str(root / "blank.bin"),
-                ]
-            )
-            == 0
-        )
-        assert (
-            main(
-                [
-                    "finetune",
-                    "--config",
-                    str(config),
-                    "--checkpoint",
-                    str(root / "pre" / "checkpoint.bin"),
-                    "--corpus",
-                    str(root / "data" / "train.corpus"),
-                    "--load-blank",
-                    str(root / "blank.bin"),
-                    "--out",
-                    str(root / "ft"),
-                ]
-            )
-            == 0
-        )
+        inputs = data_inputs(root / "data", root / "pre" / "checkpoint.bin")
+        inputs.update(config=TINY_CFG, blank=root / "blank.bin")
+        assert main(cli_argv("gen-data", **inputs, out=root / "data")) == 0
+        assert main(cli_argv("pretrain", **inputs, out=root / "pre")) == 0
+        assert main(cli_argv("export-blank", **inputs, out=root / "blank.bin")) == 0
+        assert main(cli_argv("finetune", **inputs, out=root / "ft")) == 0
         digests.append(
             [
                 (root / "data" / "train.corpus").read_bytes(),

@@ -26,29 +26,12 @@ from segctc.cli import (
     parse_config_file,
 )
 
-FAST = [
-    "utterances=6",
-    "eval_utterances=3",
-    "frames=30",
-    "vocab=5",
-    "feature_dim=4",
-    "d_model=8",
-    "d_embed=6",
-    "layers=1",
-    "n_pos=4",
-    "steps=4",
-    "batch_size=3",
-    "lr_warmup=2",
-    "mask_p=0.1",
-    "mask_l=4",
-]
+from helpers import ROLES, TINY_CFG, cli_argv, data_inputs, required_inputs, tiny_config
 
 
 @pytest.fixture
-def fast_config(tmp_path):
-    path = tmp_path / "fast.cfg"
-    path.write_text("\n".join(FAST) + "\n")
-    return path
+def fast_config():
+    return TINY_CFG
 
 
 def sha(path):
@@ -108,7 +91,7 @@ class TestConfigText:
             parse_config_file(path)
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        assert main(cli_argv("gen-data", config=path, out=out)) == 2
         assert capsys.readouterr().err.startswith("error[config]")
         assert list(out.iterdir()) == []
 
@@ -247,7 +230,7 @@ def test_config_text_fuzz(tmp_path, capsys, lines, repeat, bad_byte):
     except ConfigError:
         out = tmp_path / "fuzz_out"
         out.mkdir(exist_ok=True)
-        assert main(["gen-data", "--config", str(path), "--out", str(out)]) == 2
+        assert main(cli_argv("gen-data", config=path, out=out)) == 2
         assert capsys.readouterr().err.startswith("error[config]")
         assert list(out.iterdir()) == []
         return
@@ -291,38 +274,22 @@ INVALID_SETTINGS = [
 @pytest.fixture(scope="module")
 def valid_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
-    cfg = root / "fast.cfg"
-    cfg.write_text("\n".join(FAST) + "\n")
-    assert main(["gen-data", "--config", str(cfg), "--out", str(root)]) == 0
-    corpus = str(root / "train.corpus")
-    assert main(["pretrain", "--config", str(cfg), "--corpus", corpus, "--out", str(root)]) == 0
+    assert main(cli_argv("gen-data", config=TINY_CFG, out=root)) == 0
+    assert main(cli_argv("pretrain", **data_inputs(root), config=TINY_CFG, out=root)) == 0
     return root
 
 
 @pytest.mark.parametrize("setting", INVALID_SETTINGS)
 def test_invalid_value_is_config_error_before_any_work(tmp_path, valid_inputs, capsys, setting):
-    # The setting replaces FAST's line for its key: a repeated key would be
-    # refused for the repeat, whatever its value.
+    # The setting replaces the tiny config's line for its key: a repeated key
+    # would be refused for the repeat, whatever its value.
     key = setting.split("=")[0]
-    lines = [line for line in FAST if line.split("=")[0] != key] + [setting]
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
-    checkpoint = valid_inputs / "checkpoint.bin"
-    inputs = {
-        "gen-data": [],
-        "pretrain": ["--corpus", valid_inputs / "train.corpus"],
-        "finetune": ["--checkpoint", checkpoint, "--corpus", valid_inputs / "train.corpus"],
-        "analyze": [
-            "--ce-checkpoint", checkpoint,
-            "--ctc-checkpoint", checkpoint,
-            "--eval-clean", valid_inputs / "eval_clean.corpus",
-            "--eval-jittered", valid_inputs / "eval_jittered.corpus",
-        ],
-    }
-    for command, args in inputs.items():
+    cfg = tiny_config(tmp_path / "bad.cfg", setting)
+    inputs = data_inputs(valid_inputs, valid_inputs / "checkpoint.bin")
+    for command in [command for command, roles in ROLES.items() if "config" in roles]:
         out = tmp_path / command
         out.mkdir()
-        code = main([command, "--config", str(cfg), *map(str, args), "--out", str(out)])
+        code = main(cli_argv(command, **inputs, config=cfg, out=out))
         assert code == 2, command
         err = capsys.readouterr().err
         assert err.startswith("error[config]") and key in err, command
@@ -340,10 +307,10 @@ def test_allocation_failure_is_config_error(
 
     monkeypatch.setattr(segctc.cli, "gen_corpus", no_memory)
     monkeypatch.setattr(segctc.cli, "init_model", no_memory)
-    args = ["--corpus", str(valid_inputs / "train.corpus")] if command == "pretrain" else []
     out = tmp_path / "out"
     out.mkdir()
-    assert main([command, "--config", str(fast_config), *args, "--out", str(out)]) == 2
+    inputs = data_inputs(valid_inputs)
+    assert main(cli_argv(command, **inputs, config=fast_config, out=out)) == 2
     assert capsys.readouterr().err == "error[config]: Unable to allocate 298. GiB for an array\n"
     assert list(out.iterdir()) == []
 
@@ -362,12 +329,10 @@ def test_non_finite_loss_writes_nothing(
         return [dataclasses.replace(b, combined=math.nan) for b in breakdowns], grads
 
     monkeypatch.setattr(segctc.trainer, batch_name, nan_batch)
-    args = ["--corpus", str(valid_inputs / "train.corpus")]
-    if command == "finetune":
-        args += ["--checkpoint", str(valid_inputs / "checkpoint.bin")]
     out = tmp_path / "out"
     out.mkdir()
-    assert main([command, "--config", str(fast_config), *args, "--out", str(out)]) == 5
+    inputs = data_inputs(valid_inputs, valid_inputs / "checkpoint.bin")
+    assert main(cli_argv(command, **inputs, config=fast_config, out=out)) == 5
     assert capsys.readouterr().err.startswith("error[numeric]: non-finite loss nan at step 0,")
     assert list(out.iterdir()) == []
 
@@ -376,8 +341,7 @@ class TestGenData:
     def test_writes_three_corpora_and_echoes_config(self, tmp_path, fast_config):
         out = tmp_path / "data"
         out.mkdir()
-        code = main(["gen-data", "--config", str(fast_config), "--out", str(out)])
-        assert code == 0
+        assert main(cli_argv("gen-data", config=fast_config, out=out)) == 0
         for name in ("train.corpus", "eval_clean.corpus", "eval_jittered.corpus"):
             assert (out / name).exists()
         echoed = (out / "effective_config.txt").read_text()
@@ -388,32 +352,23 @@ class TestGenData:
         for tag in ("a", "b"):
             out = tmp_path / tag
             out.mkdir()
-            assert main(["gen-data", "--config", str(fast_config), "--out", str(out)]) == 0
+            assert main(cli_argv("gen-data", config=fast_config, out=out)) == 0
             outs.append([sha(out / n) for n in sorted(p.name for p in out.iterdir())])
         assert outs[0] == outs[1]
 
     def test_no_noise_makes_eval_splits_identical(self, tmp_path, fast_config):
         out = tmp_path / "clean"
         out.mkdir()
-        extra = fast_config.read_text() + "jitter_q=0\ncorrupt_r=0\n"
-        cfg = tmp_path / "noiseless.cfg"
-        cfg.write_text(extra)
-        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+        cfg = tiny_config(tmp_path / "noiseless.cfg", "jitter_q=0", "corrupt_r=0")
+        assert main(cli_argv("gen-data", config=cfg, out=out)) == 0
         assert sha(out / "eval_clean.corpus") == sha(out / "eval_jittered.corpus")
 
     @pytest.mark.parametrize("command", ["gen-data", "pretrain", "finetune", "analyze"])
     def test_missing_out_dir_is_io_error(self, tmp_path, fast_config, capsys, command):
         # The inputs are missing too: the output directory is checked first.
-        inputs = {
-            "gen-data": [],
-            "pretrain": ["--corpus"],
-            "finetune": ["--checkpoint", "--corpus"],
-            "analyze": ["--ce-checkpoint", "--ctc-checkpoint", "--eval-clean", "--eval-jittered"],
-        }[command]
-        absent = [arg for flag in inputs for arg in (flag, str(tmp_path / flag[2:]))]
+        absent = {role: tmp_path / role for role in required_inputs(command)}
         missing = tmp_path / "nope"
-        argv = [command, "--config", str(fast_config), *absent, "--out", str(missing)]
-        assert main(argv) == 3
+        assert main(cli_argv(command, **absent, config=fast_config, out=missing)) == 3
         err = capsys.readouterr().err
         assert "error[io]" in err
         assert str(missing) in err
@@ -423,9 +378,7 @@ class TestGenData:
         for seed in ("0", "1"):
             out = tmp_path / f"s{seed}"
             out.mkdir()
-            main(
-                ["gen-data", "--config", str(fast_config), "--seed", seed, "--out", str(out)]
-            )
+            main(cli_argv("gen-data", "--seed", seed, config=fast_config, out=out))
             hashes.append(sha(out / "train.corpus"))
         assert hashes[0] != hashes[1]
 
@@ -434,7 +387,7 @@ class TestGenData:
 def generated(tmp_path, fast_config):
     data = tmp_path / "data"
     data.mkdir()
-    assert main(["gen-data", "--config", str(fast_config), "--out", str(data)]) == 0
+    assert main(cli_argv("gen-data", config=fast_config, out=data)) == 0
     return data
 
 
@@ -443,6 +396,7 @@ class TestPretrain:
         # The joint loss, its CE-only and CTC-only branches, and the two edge
         # shapes of a step's masked regions: none at all, and one region
         # covering each 30-frame utterance.
+        inputs = data_inputs(generated)
         for flags in (
             [],
             ["--alpha", "0"],
@@ -452,8 +406,7 @@ class TestPretrain:
         ):
             out = tmp_path / "_".join(["run", *flags])
             out.mkdir()
-            corpus = ["--corpus", str(generated / "train.corpus")]
-            code = main(["pretrain", "--config", str(fast_config), *flags, *corpus, "--out", str(out)])
+            code = main(cli_argv("pretrain", *flags, **inputs, config=fast_config, out=out))
             assert code == 0, flags
             model = load_checkpoint(out / "checkpoint.bin")
             assert model.head.vocab == 5
@@ -468,38 +421,15 @@ class TestPretrain:
         for tag in ("a", "b"):
             out = tmp_path / tag
             out.mkdir()
-            main(
-                [
-                    "pretrain",
-                    "--config",
-                    str(fast_config),
-                    "--corpus",
-                    str(generated / "train.corpus"),
-                    "--out",
-                    str(out),
-                ]
-            )
+            main(cli_argv("pretrain", **data_inputs(generated), config=fast_config, out=out))
             hashes.append((sha(out / "checkpoint.bin"), sha(out / "metrics.tsv")))
         assert hashes[0] == hashes[1]
 
     def test_warmup_flag_controls_logged_alpha(self, tmp_path, fast_config, generated):
         out = tmp_path / "warm"
         out.mkdir()
-        main(
-            [
-                "pretrain",
-                "--config",
-                str(fast_config),
-                "--corpus",
-                str(generated / "train.corpus"),
-                "--alpha",
-                "1.0",
-                "--ce-warmup",
-                "2",
-                "--out",
-                str(out),
-            ]
-        )
+        flags = ["--alpha", "1.0", "--ce-warmup", "2"]
+        main(cli_argv("pretrain", *flags, **data_inputs(generated), config=fast_config, out=out))
         alphas = [
             float(line.split("\t")[4])
             for line in (out / "metrics.tsv").read_text().strip().split("\n")
@@ -509,46 +439,39 @@ class TestPretrain:
     def test_missing_corpus_is_io_error(self, tmp_path, fast_config, capsys):
         out = tmp_path / "run"
         out.mkdir()
-        code = main(
-            [
-                "pretrain",
-                "--config",
-                str(fast_config),
-                "--corpus",
-                str(tmp_path / "absent.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 3
+        absent = tmp_path / "absent.corpus"
+        assert main(cli_argv("pretrain", config=fast_config, corpus=absent, out=out)) == 3
         assert "error[io]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mask_l", [2**63 - 1, 2**64])
+    def test_huge_mask_l_masks_as_whole_utterance_spans(
+        self, tmp_path, fast_config, generated, mask_l
+    ):
+        # A span is truncated at its utterance's end, so a span past int64
+        # masks as one of the longest utterance's 30 frames does.
+        inputs = data_inputs(generated)
+        runs = []
+        for value in (30, mask_l):
+            out = tmp_path / str(value)
+            out.mkdir()
+            argv = cli_argv("pretrain", "--mask-l", value, **inputs, config=fast_config, out=out)
+            assert main(argv) == 0
+            runs.append([(out / name).read_bytes() for name in ("metrics.tsv", "checkpoint.bin")])
+        assert runs[0] == runs[1]
 
 
 @pytest.fixture
 def pretrained(tmp_path, fast_config, generated):
     out = tmp_path / "pre"
     out.mkdir()
-    assert (
-        main(
-            [
-                "pretrain",
-                "--config",
-                str(fast_config),
-                "--corpus",
-                str(generated / "train.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        == 0
-    )
+    assert main(cli_argv("pretrain", **data_inputs(generated), config=fast_config, out=out)) == 0
     return out / "checkpoint.bin"
 
 
 class TestExportBlank:
     def test_round_trip_and_identity(self, tmp_path, pretrained):
         blank_path = tmp_path / "blank.bin"
-        assert main(["export-blank", "--checkpoint", str(pretrained), "--out", str(blank_path)]) == 0
+        assert main(cli_argv("export-blank", checkpoint=pretrained, out=blank_path)) == 0
         blank = read_blank_params(blank_path)
         model = load_checkpoint(pretrained)
         head = model.head
@@ -561,50 +484,35 @@ class TestExportBlank:
             assert blank_logit == pytest.approx(float(blank.weight @ h + blank.bias), abs=1e-10)
         # re-export is bitwise identical
         second = tmp_path / "blank2.bin"
-        main(["export-blank", "--checkpoint", str(pretrained), "--out", str(second)])
+        main(cli_argv("export-blank", checkpoint=pretrained, out=second))
         assert blank_path.read_bytes() == second.read_bytes()
 
     def test_takes_no_config_flags(self, tmp_path, pretrained):
         for flag in (["--config", str(tmp_path / "c.cfg")], ["--seed", "1"]):
             with pytest.raises(SystemExit) as exc_info:
-                main(["export-blank", "--checkpoint", str(pretrained), "--out", "b.bin", *flag])
+                main(cli_argv("export-blank", *flag, checkpoint=pretrained, out="b.bin"))
             assert exc_info.value.code == 2
 
     def test_corrupt_checkpoint_is_format_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"GARBAGE" + b"\x00" * 100)
-        code = main(["export-blank", "--checkpoint", str(bad), "--out", str(tmp_path / "b.bin")])
-        assert code == 4
+        assert main(cli_argv("export-blank", checkpoint=bad, out=tmp_path / "b.bin")) == 4
         assert "error[format]" in capsys.readouterr().err
 
 
 class TestFinetune:
     def test_with_and_without_blank(self, tmp_path, fast_config, generated, pretrained):
         blank_path = tmp_path / "blank.bin"
-        main(["export-blank", "--checkpoint", str(pretrained), "--out", str(blank_path)])
+        main(cli_argv("export-blank", checkpoint=pretrained, out=blank_path))
+        without = data_inputs(generated, pretrained)
+        with_blank = dict(without, blank=blank_path)
         outputs = {}
-        for tag, extra in (
-            ("plain", ["--steps", "0"]),
-            ("blank", ["--steps", "0", "--load-blank", str(blank_path)]),
-            ("trained", ["--steps", "2", "--load-blank", str(blank_path)]),
-        ):
+        runs = (("plain", 0, without), ("blank", 0, with_blank), ("trained", 2, with_blank))
+        for tag, steps, inputs in runs:
             out = tmp_path / tag
             out.mkdir()
-            code = main(
-                [
-                    "finetune",
-                    "--config",
-                    str(fast_config),
-                    "--checkpoint",
-                    str(pretrained),
-                    "--corpus",
-                    str(generated / "train.corpus"),
-                    "--out",
-                    str(out),
-                ]
-                + extra
-            )
-            assert code == 0
+            argv = cli_argv("finetune", "--steps", steps, **inputs, config=fast_config, out=out)
+            assert main(argv) == 0
             outputs[tag] = load_checkpoint(out / "checkpoint.bin")
         # one CTC record per step: 5 columns, ce 0, ctc equal to combined, alpha 1
         trained = tmp_path / "trained"
@@ -626,21 +534,9 @@ class TestFinetune:
     def test_freeze_encoder_runs(self, tmp_path, fast_config, generated, pretrained):
         out = tmp_path / "frozen"
         out.mkdir()
-        code = main(
-            [
-                "finetune",
-                "--config",
-                str(fast_config),
-                "--checkpoint",
-                str(pretrained),
-                "--corpus",
-                str(generated / "train.corpus"),
-                "--freeze-encoder",
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        inputs = data_inputs(generated, pretrained)
+        argv = cli_argv("finetune", "--freeze-encoder", **inputs, config=fast_config, out=out)
+        assert main(argv) == 0
         finetuned = load_checkpoint(out / "checkpoint.bin")
         original = load_checkpoint(pretrained)
         np.testing.assert_array_equal(
@@ -654,22 +550,7 @@ class TestAnalyze:
     ):
         out = tmp_path / "report"
         out.mkdir()
-        code = main(
-            [
-                "analyze",
-                "--ce-checkpoint",
-                str(pretrained),
-                "--ctc-checkpoint",
-                str(pretrained),
-                "--eval-clean",
-                str(generated / "eval_clean.corpus"),
-                "--eval-jittered",
-                str(generated / "eval_jittered.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 0
+        assert main(cli_argv("analyze", **data_inputs(generated, pretrained), out=out)) == 0
         stdout = capsys.readouterr().out
         assert "ctc_degrades_less: false" in stdout  # identical checkpoints
         assert (out / "report.txt").read_text() == stdout
@@ -683,32 +564,15 @@ class TestAnalyze:
     def test_corpus_beyond_checkpoint_is_data_error_before_any_forward(
         self, tmp_path, generated, pretrained, capsys, setting, which
     ):
-        key = setting.split("=")[0]
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text("\n".join([s for s in FAST if not s.startswith(key)] + [setting]) + "\n")
+        cfg = tiny_config(tmp_path / "wide.cfg", setting)
         wide = tmp_path / "wide"
         wide.mkdir()
-        assert main(["gen-data", "--config", str(cfg), "--out", str(wide)]) == 0
-        corpora = {name: generated / f"eval_{name}.corpus" for name in ("clean", "jittered")}
-        corpora[which] = wide / f"eval_{which}.corpus"
+        assert main(cli_argv("gen-data", config=cfg, out=wide)) == 0
+        inputs = data_inputs(generated, pretrained)
+        inputs[which] = data_inputs(wide)[which]
         out = tmp_path / "report"
         out.mkdir()
-        code = main(
-            [
-                "analyze",
-                "--ce-checkpoint",
-                str(pretrained),
-                "--ctc-checkpoint",
-                str(pretrained),
-                "--eval-clean",
-                str(corpora["clean"]),
-                "--eval-jittered",
-                str(corpora["jittered"]),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 6
+        assert main(cli_argv("analyze", **inputs, out=out)) == 6
         assert capsys.readouterr().err.startswith("error[data]")
         assert list(out.iterdir()) == []
 
@@ -717,32 +581,17 @@ class TestAnalyze:
     ):
         # The evaluation sets pair and their ids are labels of both heads, so
         # the ctc checkpoint's width is refused at its first forward.
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text("\n".join([s for s in FAST if s != "feature_dim=4"] + ["feature_dim=5"]))
+        cfg = tiny_config(tmp_path / "wide.cfg", "feature_dim=5")
         wide = tmp_path / "wide"
         wide.mkdir()
-        assert main(["gen-data", "--config", str(cfg), "--out", str(wide)]) == 0
-        corpus = ["--corpus", str(wide / "train.corpus")]
-        steps = ["--steps", "2"]
-        assert main(["pretrain", "--config", str(cfg), *steps, *corpus, "--out", str(wide)]) == 0
+        assert main(cli_argv("gen-data", config=cfg, out=wide)) == 0
+        wide_inputs = data_inputs(wide)
+        assert main(cli_argv("pretrain", "--steps", 2, **wide_inputs, config=cfg, out=wide)) == 0
         out = tmp_path / "report"
         out.mkdir()
-        code = main(
-            [
-                "analyze",
-                "--ce-checkpoint",
-                str(pretrained),
-                "--ctc-checkpoint",
-                str(wide / "checkpoint.bin"),
-                "--eval-clean",
-                str(generated / "eval_clean.corpus"),
-                "--eval-jittered",
-                str(generated / "eval_jittered.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 6
+        inputs = data_inputs(generated, pretrained)
+        inputs["ctc"] = wide / "checkpoint.bin"
+        assert main(cli_argv("analyze", **inputs, out=out)) == 6
         err = capsys.readouterr().err
         assert err.startswith("error[data]") and err.count("\n") == 1
         assert list(out.iterdir()) == []
@@ -754,31 +603,17 @@ class TestAnalyze:
         # ids themselves must be labels of both heads.
         reports = []
         for vocab in (None, 30):
-            corpora = [generated / f"eval_{name}.corpus" for name in ("clean", "jittered")]
+            inputs = data_inputs(generated, pretrained)
             if vocab is not None:
-                for i, path in enumerate(corpora):
-                    corpora[i] = tmp_path / path.name
-                    save_corpus(dataclasses.replace(load_corpus(path), vocab=vocab), corpora[i])
+                for role in ("clean", "jittered"):
+                    path = inputs[role]
+                    inputs[role] = tmp_path / path.name
+                    save_corpus(dataclasses.replace(load_corpus(path), vocab=vocab), inputs[role])
             out = tmp_path / f"report-{vocab}"
             out.mkdir()
-            code = main(
-                [
-                    "analyze",
-                    "--ce-checkpoint",
-                    str(pretrained),
-                    "--ctc-checkpoint",
-                    str(pretrained),
-                    "--eval-clean",
-                    str(corpora[0]),
-                    "--eval-jittered",
-                    str(corpora[1]),
-                    "--out",
-                    str(out),
-                ]
-            )
-            assert code == 0
+            assert main(cli_argv("analyze", **inputs, out=out)) == 0
             reports.append([(out / name).read_bytes() for name in ("report.txt", "report.tsv")])
-        assert load_corpus(corpora[0]).vocab == 30
+        assert load_corpus(inputs["clean"]).vocab == 30
         assert reports[0] == reports[1]
 
     def test_model_without_mass_on_clean_frames_is_numeric_error(
@@ -788,30 +623,15 @@ class TestAnalyze:
         # probability 0, so the relative degradation would divide by zero.
         ft = tmp_path / "ft"
         ft.mkdir()
-        args = ["--config", str(fast_config), "--steps", "2", "--out", str(ft)]
-        corpus = ["--corpus", str(generated / "train.corpus")]
-        assert main(["finetune", "--checkpoint", str(pretrained), *corpus, *args]) == 0
+        inputs = data_inputs(generated, pretrained)
+        assert main(cli_argv("finetune", "--steps", 2, **inputs, config=fast_config, out=ft)) == 0
         model = load_checkpoint(ft / "checkpoint.bin")
         model.head.bias[-1] = 1e30
         save_checkpoint(model, tmp_path / "blank-wins.bin")
         out = tmp_path / "report"
         out.mkdir()
-        code = main(
-            [
-                "analyze",
-                "--ce-checkpoint",
-                str(pretrained),
-                "--ctc-checkpoint",
-                str(tmp_path / "blank-wins.bin"),
-                "--eval-clean",
-                str(generated / "eval_clean.corpus"),
-                "--eval-jittered",
-                str(generated / "eval_jittered.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 5
+        inputs["ctc"] = tmp_path / "blank-wins.bin"
+        assert main(cli_argv("analyze", **inputs, out=out)) == 5
         err = capsys.readouterr().err
         assert err.startswith("error[numeric]") and "ctc model" in err
         assert list(out.iterdir()) == []
@@ -823,25 +643,12 @@ class TestAnalyze:
         # same ones: the paired measurement has nothing to compare.
         other = tmp_path / "other"
         other.mkdir()
-        assert main(["gen-data", "--config", str(fast_config), "--seed", "1", "--out", str(other)]) == 0
+        assert main(cli_argv("gen-data", "--seed", 1, config=fast_config, out=other)) == 0
         out = tmp_path / "report"
         out.mkdir()
-        code = main(
-            [
-                "analyze",
-                "--ce-checkpoint",
-                str(pretrained),
-                "--ctc-checkpoint",
-                str(pretrained),
-                "--eval-clean",
-                str(generated / "eval_clean.corpus"),
-                "--eval-jittered",
-                str(other / "eval_jittered.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 6
+        inputs = data_inputs(generated, pretrained)
+        inputs["jittered"] = other / "eval_jittered.corpus"
+        assert main(cli_argv("analyze", **inputs, out=out)) == 6
         err = capsys.readouterr().err
         assert err.startswith("error[data]: utterance 0: clean and jittered features differ")
         assert list(out.iterdir()) == []
@@ -851,12 +658,11 @@ class TestAnalyze:
         # and the logits to NaN; the figure is refused, not reported as nan,
         # and numpy prints no warning ahead of the error (under this suite's
         # filterwarnings = error a warning would surface as error[internal]).
-        cfg = tmp_path / "two-layers.cfg"
-        cfg.write_text("\n".join([*(s for s in FAST if s != "layers=1"), "layers=2", *settings]))
+        cfg = tiny_config(tmp_path / "two-layers.cfg", "layers=2", *settings)
         pre = tmp_path / "pre"
         pre.mkdir()
-        corpus = ["--corpus", str(generated / "train.corpus")]
-        assert main(["pretrain", "--config", str(cfg), "--steps", "2", *corpus, "--out", str(pre)]) == 0
+        inputs = data_inputs(generated, pre / "checkpoint.bin")
+        assert main(cli_argv("pretrain", "--steps", 2, **inputs, config=cfg, out=pre)) == 0
         model = load_checkpoint(pre / "checkpoint.bin")
         model.encoder.input_weight[...] = 3e38
         for block in model.encoder.blocks:
@@ -865,22 +671,8 @@ class TestAnalyze:
         save_checkpoint(model, tmp_path / "overflow.bin")
         out = tmp_path / "report"
         out.mkdir()
-        code = main(
-            [
-                "analyze",
-                "--ce-checkpoint",
-                str(pre / "checkpoint.bin"),
-                "--ctc-checkpoint",
-                str(tmp_path / "overflow.bin"),
-                "--eval-clean",
-                str(generated / "eval_clean.corpus"),
-                "--eval-jittered",
-                str(generated / "eval_jittered.corpus"),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 5
+        inputs["ctc"] = tmp_path / "overflow.bin"
+        assert main(cli_argv("analyze", **inputs, out=out)) == 5
         err = capsys.readouterr().err
         assert err.startswith("error[numeric]: the ctc model's clean probability is nan")
         assert err.count("\n") == 1

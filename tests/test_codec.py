@@ -32,6 +32,8 @@ from segctc import (
 )
 from segctc.cli import main
 
+from helpers import ROLES, cli_argv
+
 FEATURE_DIM, MODEL_DIM, VOCAB, FRAMES = 3, 4, 4, 7
 
 
@@ -296,36 +298,34 @@ MALFORMED = {
     "tiny.blank": dict.fromkeys(PARAM_FILE_FAULTS, FORMAT),
 }
 
-# The files each command reads.
-READS = {
-    "pretrain": ["tiny.corpus"],
-    "finetune": ["embedding.ckpt", "tiny.corpus", "tiny.blank"],
-    "analyze": ["embedding.ckpt", "affine.ckpt", "tiny.corpus"],
-    "export-blank": ["embedding.ckpt", "affine.ckpt"],
+# The tiny file in each input role. export-blank may read either checkpoint.
+TINY_INPUTS = {
+    "checkpoint": "embedding.ckpt",
+    "corpus": "tiny.corpus",
+    "blank": "tiny.blank",
+    "ce": "embedding.ckpt",
+    "ctc": "affine.ckpt",
+    "clean": "tiny.corpus",
+    "jittered": "tiny.corpus",
 }
 
+# The files each command reads.
+READS = {
+    command: list(dict.fromkeys(TINY_INPUTS[role] for role in roles if role in TINY_INPUTS))
+    for command, roles in ROLES.items()
+    if command != "gen-data"
+}
+READS["export-blank"].append("affine.ckpt")
 
-def cli_argv(command, files, out, checkpoint="embedding.ckpt"):
-    """The arguments that run `command` on `files`, writing under `out`;
-    export-blank reads `checkpoint`."""
-    return [command] + [str(a) for a in {
-        "pretrain": ["--corpus", files["tiny.corpus"], "--steps", "1", "--out", out],
-        "analyze": [
-            "--ce-checkpoint", files["embedding.ckpt"],
-            "--ctc-checkpoint", files["affine.ckpt"],
-            "--eval-clean", files["tiny.corpus"],
-            "--eval-jittered", files["tiny.corpus"],
-            "--out", out,
-        ],
-        "finetune": [
-            "--checkpoint", files["embedding.ckpt"],
-            "--corpus", files["tiny.corpus"],
-            "--load-blank", files["tiny.blank"],
-            "--steps", "1",
-            "--out", out,
-        ],
-        "export-blank": ["--checkpoint", files[checkpoint], "--out", out / "blank.bin"],
-    }[command]]
+
+def run_tiny(command, files, out, checkpoint="embedding.ckpt"):
+    """Run `command` on `files` for one step, writing under `out`; export-blank
+    reads `checkpoint`."""
+    inputs = {role: files[name] for role, name in TINY_INPUTS.items()}
+    if command == "export-blank":
+        inputs["checkpoint"], out = files[checkpoint], out / "blank.bin"
+    steps = ["--steps", 1] if command in ("pretrain", "finetune") else []
+    return main(cli_argv(command, *steps, **inputs, out=out))
 
 
 def write_files(root, tiny, name=None, how=None):
@@ -340,7 +340,7 @@ def write_files(root, tiny, name=None, how=None):
 def test_cli_runs_on_the_tiny_files(tmp_path, tiny, command):
     out = tmp_path / "out"
     out.mkdir()
-    assert main(cli_argv(command, write_files(tmp_path, tiny), out)) == 0
+    assert run_tiny(command, write_files(tmp_path, tiny), out) == 0
 
 
 def test_export_blank_from_affine_head_is_data_error(tmp_path, tiny, capsys):
@@ -349,7 +349,7 @@ def test_export_blank_from_affine_head_is_data_error(tmp_path, tiny, capsys):
     out = tmp_path / "out"
     out.mkdir()
     files = write_files(tmp_path, tiny)
-    assert main(cli_argv("export-blank", files, out, checkpoint="affine.ckpt")) == 6
+    assert run_tiny("export-blank", files, out, checkpoint="affine.ckpt") == 6
     assert capsys.readouterr().err.startswith("error[data]")
     assert list(out.iterdir()) == []
 
@@ -369,6 +369,6 @@ def test_cli_categorizes_malformed_files(
     out = tmp_path / "out"
     out.mkdir()
     files = write_files(tmp_path, tiny, name, how)
-    assert main(cli_argv(command, files, out, checkpoint=name)) == code
+    assert run_tiny(command, files, out, checkpoint=name) == code
     assert capsys.readouterr().err.startswith(f"error[{category}]")
     assert list(out.iterdir()) == []

@@ -413,6 +413,44 @@ def per_utterance_run(corpus, cfg, model, loss_and_grads):
     return metrics
 
 
+def pretrain_loop(corpus, cfg, model):
+    """per_utterance_run of train: each utterance draws its own mask from
+    its keyed stream and takes the single-utterance joint loss."""
+
+    def loss_and_grads(idx, step, alpha):
+        utt = corpus.utterances[idx]
+        rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
+        spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
+        b, grads = pretrain_loss_and_grads(model, utt.features, utt.noisy_ids, spec, alpha)
+        return b.ce, b.ctc, b.combined, grads
+
+    return per_utterance_run(corpus, cfg, model, loss_and_grads)
+
+
+def finetune_loop(corpus, cfg, model):
+    """per_utterance_run of finetune: the single-utterance CTC loss."""
+
+    def loss_and_grads(idx, step, alpha):
+        utt = corpus.utterances[idx]
+        loss, grads = finetune_loss_and_grads(model, utt.features, utt.true_ids)
+        return 0.0, loss, loss, grads
+
+    return per_utterance_run(corpus, cfg, model, loss_and_grads)
+
+
+def finetune_model():
+    head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(13))
+    return Model(encoder=tiny_model(seed=5).encoder, head=head)
+
+
+def assert_same_run(run, expected, loop_model):
+    """The batched `run`'s metrics and parameters are bitwise the loop's."""
+    model, metrics = run
+    assert metrics == expected
+    for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
+        np.testing.assert_array_equal(got, want)
+
+
 def compensated_sum(values, start=0):
     """A compensated float sum, as the builtin sum() adds floats from Python 3.12 on."""
     return math.fsum([start, *values])
@@ -427,42 +465,15 @@ class TestBatchedStep:
         corpus = gen_corpus(TINY_CORPUS_CFG)
         cfg = tiny_train_config(steps=5, batch_size=4, mode=mode)
         loop_model = tiny_model(seed=4)
-
-        def loss_and_grads(idx, step, alpha):
-            utt = corpus.utterances[idx]
-            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
-            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
-            b, grads = pretrain_loss_and_grads(
-                loop_model, utt.features, utt.noisy_ids, spec, alpha
-            )
-            return b.ce, b.ctc, b.combined, grads
-
-        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
-        model, metrics = train(corpus, cfg, tiny_model(seed=4))
-        assert metrics == expected
-        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
-            np.testing.assert_array_equal(got, want)
+        expected = pretrain_loop(corpus, cfg, loop_model)
+        assert_same_run(train(corpus, cfg, tiny_model(seed=4)), expected, loop_model)
 
     def test_finetune_equals_per_utterance_loop(self):
         corpus = gen_corpus(TINY_CORPUS_CFG)
         cfg = tiny_train_config(steps=4, batch_size=4, mode=TrainingMode(alpha=1.0))
-
-        def fresh():
-            head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(13))
-            return Model(encoder=tiny_model(seed=5).encoder, head=head)
-
-        loop_model = fresh()
-
-        def loss_and_grads(idx, step, alpha):
-            utt = corpus.utterances[idx]
-            loss, grads = finetune_loss_and_grads(loop_model, utt.features, utt.true_ids)
-            return 0.0, loss, loss, grads
-
-        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
-        model, metrics = finetune(corpus, cfg, fresh())
-        assert metrics == expected
-        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
-            np.testing.assert_array_equal(got, want)
+        loop_model = finetune_model()
+        expected = finetune_loop(corpus, cfg, loop_model)
+        assert_same_run(finetune(corpus, cfg, finetune_model()), expected, loop_model)
 
     @pytest.mark.parametrize("grad_clip", [0.0, 1e-2])
     def test_pretrain_sums_do_not_depend_on_builtin_sum(self, monkeypatch, grad_clip):
@@ -472,43 +483,16 @@ class TestBatchedStep:
         corpus = gen_corpus(TINY_CORPUS_CFG)
         cfg = tiny_train_config(steps=5, batch_size=4, grad_clip=grad_clip)
         loop_model = tiny_model(seed=4)
-
-        def loss_and_grads(idx, step, alpha):
-            utt = corpus.utterances[idx]
-            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
-            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
-            b, grads = pretrain_loss_and_grads(
-                loop_model, utt.features, utt.noisy_ids, spec, alpha
-            )
-            return b.ce, b.ctc, b.combined, grads
-
-        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
-        model, metrics = train(corpus, cfg, tiny_model(seed=4))
-        assert metrics == expected
-        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
-            np.testing.assert_array_equal(got, want)
+        expected = pretrain_loop(corpus, cfg, loop_model)
+        assert_same_run(train(corpus, cfg, tiny_model(seed=4)), expected, loop_model)
 
     def test_finetune_sums_do_not_depend_on_builtin_sum(self, monkeypatch):
         monkeypatch.setattr(segctc.trainer, "sum", compensated_sum, raising=False)
         corpus = gen_corpus(TINY_CORPUS_CFG)
         cfg = tiny_train_config(steps=5, batch_size=6, mode=TrainingMode(alpha=1.0))
-
-        def fresh():
-            head = init_finetune_head(None, vocab=4, model_dim=6, rng=seeded_rng(13))
-            return Model(encoder=tiny_model(seed=5).encoder, head=head)
-
-        loop_model = fresh()
-
-        def loss_and_grads(idx, step, alpha):
-            utt = corpus.utterances[idx]
-            loss, grads = finetune_loss_and_grads(loop_model, utt.features, utt.true_ids)
-            return 0.0, loss, loss, grads
-
-        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
-        model, metrics = finetune(corpus, cfg, fresh())
-        assert metrics == expected
-        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
-            np.testing.assert_array_equal(got, want)
+        loop_model = finetune_model()
+        expected = finetune_loop(corpus, cfg, loop_model)
+        assert_same_run(finetune(corpus, cfg, finetune_model()), expected, loop_model)
 
     def test_default_shape_is_bitwise_per_utterance_loop(self):
         # At T = 100 and d_model 32 every product of a pack runs on the same
@@ -531,21 +515,8 @@ class TestBatchedStep:
             )
 
         loop_model = fresh()
-
-        def loss_and_grads(idx, step, alpha):
-            utt = corpus.utterances[idx]
-            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
-            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
-            b, grads = pretrain_loss_and_grads(
-                loop_model, utt.features, utt.noisy_ids, spec, alpha
-            )
-            return b.ce, b.ctc, b.combined, grads
-
-        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
-        model, metrics = train(corpus, cfg, fresh())
-        assert metrics == expected
-        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
-            np.testing.assert_array_equal(got, want)
+        expected = pretrain_loop(corpus, cfg, loop_model)
+        assert_same_run(train(corpus, cfg, fresh()), expected, loop_model)
 
 
 class TestMixedLengths:
@@ -570,23 +541,10 @@ class TestMixedLengths:
         )
         cfg = tiny_train_config(steps=20, batch_size=3)
         loop_model = tiny_model(seed=6)
-
-        def loss_and_grads(idx, step, alpha):
-            utt = corpus.utterances[idx]
-            rng = seeded_rng(cfg.seed, _MASK_STREAM, idx, step)
-            spec = sample_mask(utt.features.shape[0], cfg.mask_p, cfg.mask_l, rng)
-            b, grads = pretrain_loss_and_grads(
-                loop_model, utt.features, utt.noisy_ids, spec, alpha
-            )
-            return b.ce, b.ctc, b.combined, grads
-
-        expected = per_utterance_run(corpus, cfg, loop_model, loss_and_grads)
+        expected = pretrain_loop(corpus, cfg, loop_model)
         _position_table.cache_clear()
         _band_pad.cache_clear()
-        model, metrics = train(corpus, cfg, tiny_model(seed=6))
-        assert metrics == expected
-        for (_, got), (_, want) in zip(named_params(model), named_params(loop_model)):
-            np.testing.assert_array_equal(got, want)
+        assert_same_run(train(corpus, cfg, tiny_model(seed=6)), expected, loop_model)
         assert _position_table.cache_info().currsize <= len(lengths)
         assert _band_pad.cache_info().currsize <= len(lengths)
 
